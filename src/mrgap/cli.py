@@ -46,12 +46,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(x: float) -> float:
-    # json round-trips python floats losslessly via repr; 17 significant
-    # digits would be equivalent.
-    return float(x)
-
-
 def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
     return {
         "schema": TRACE_SCHEMA,
@@ -63,11 +57,10 @@ def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
         },
         "rounds": trace.rounds,
         "hypers": [
-            {"A": _fmt(h.A), "rho": _fmt(h.rho), "sigma": _fmt(h.sigma)}
-            for h in trace.hypers
+            {"A": h.A, "rho": h.rho, "sigma": h.sigma} for h in trace.hypers
         ],
-        "sigma_history": [_fmt(s) for s in trace.sigma_history],
-        "predictive_variances": [_fmt(v) for v in trace.predictive_variances],
+        "sigma_history": list(trace.sigma_history),
+        "predictive_variances": list(trace.predictive_variances),
         "clouds": [c.points.tolist() for c in trace.clouds],
     }
 
@@ -107,10 +100,10 @@ def _cap_threads(n: int | None) -> None:
     if n is not None:
         try:
             from threadpoolctl import threadpool_limits
-
-            threadpool_limits(limits=n)
         except ImportError:
-            pass
+            print("warning: thread cap unavailable", file=sys.stderr)
+            return
+        threadpool_limits(limits=n)
 
 
 def cmd_generate(args) -> int:

@@ -7,14 +7,27 @@ the un-halved scaling
     -tr(Z^T K^-1 Z) - q log det K - (qN/2) log 2pi,   K = Sigma_1 + sigma^2 I,
 
 whose maximizer coincides with the conventional -1/2 form.
+
+Every likelihood value and gradient comes from one batched kernel,
+``_ChartStack.stats``.  Writing K = A M with M = K0 + s I, K0 the
+unit-variance Gram and s = sigma^2 / A, the likelihood of all charts is
+
+    L = -T/A - q N log A - q log det M - (qN/2) log 2pi,
+
+with T = sum_k tr(M_k^-1 P_k) and P_k = Z_k Z_k^T.  For fixed (rho, s) it
+is maximized by A* = T / (qN) (the profile likelihood, Rasmussen &
+Williams, GPML ch. 5), so the fit searches (log rho, log s) only.  P_k is
+kept as a factor R_k R_k^T with min(q, N_k) columns, computed once per
+fit, so an evaluation costs no more for q = 700 than for q = N_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -36,6 +49,21 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-9
 _LOG_2PI = np.log(2.0 * np.pi)
+# Bound on |log A| for the profiled maximizer A*; with SIGMA_FLOOR it also
+# bounds log s.
+_LOG_A_BOUND = 40.0
+# Cholesky jitter levels relative to the kernel scale A; the noise-free Gram
+# of duplicate predictors is exactly singular, so some jitter is routinely
+# needed when sigma is tiny.
+_JITTERS = np.concatenate([[0.0], 10.0 ** np.arange(-12, -5)])
+# exp(_EXP_MIN) is half an ulp of 1; smaller kernel entries are set to 0.
+_EXP_MIN = np.log(0.5 * np.finfo(float).eps)
+# Charts are padded to a multiple of _BUCKET rows so that a few stacks hold
+# them.  A stack holds at most _STACK_ELEMS entries per matrix array: one
+# stack per size measured ~30% slower per evaluation on the torus, most
+# likely from page-faulting its larger temporaries in again each time.
+_BUCKET = 8
+_STACK_ELEMS = 2 ** 15
 
 
 class FactorizationError(RuntimeError):
@@ -87,30 +115,100 @@ def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarra
     return hyper.A * np.exp(-cdist(a, b, "sqeuclidean") / hyper.rho)
 
 
-def _factor(K: np.ndarray, hyper: GpHyperParams):
-    """Cholesky of K + sigma^2 I with escalating diagonal jitter.
+def _diagonal(M: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous (B, n, n) stack."""
+    n = M.shape[-1]
+    return M.reshape(M.shape[0], n * n)[:, :: n + 1]
 
-    Jitter starts at 1e-12 * A and grows tenfold up to 1e-6 * A; duplicate
-    predictors make the noise-free Gram exactly singular, so some jitter
-    is routinely needed when sigma is tiny.
+
+def _cholesky_stack(M: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (B, n, n) stack of symmetric matrices
+    scaled to a unit kernel diagonal.
+
+    A matrix that does not factor gets diagonal jitter on its real rows
+    (real is a (B, n) 0/1 array), escalating tenfold from 1e-12 to 1e-6;
+    other matrices of the stack keep theirs.
     """
-    N = K.shape[0]
-    base = K + hyper.sigma ** 2 * np.eye(N)
-    jitter = 0.0
+    level = np.zeros(M.shape[0], dtype=int)
+    Mj = M
     while True:
         try:
-            cf = cho_factor(base + jitter * np.eye(N), lower=True)
-            return cf, jitter
+            return np.linalg.cholesky(Mj)
         except np.linalg.LinAlgError:
             pass
-        if jitter == 0.0:
-            jitter = 1e-12 * hyper.A
-        elif jitter < 1e-6 * hyper.A:
-            jitter *= 10.0
-        else:
-            raise FactorizationError(
-                f"Cholesky failed for {N}x{N} system at max jitter {jitter:g}"
-            )
+        # Only on failure: find the matrices that do not factor.
+        failed = False
+        for b in range(M.shape[0]):
+            try:
+                np.linalg.cholesky(Mj[b])
+            except np.linalg.LinAlgError:
+                failed = True
+                if level[b] == len(_JITTERS) - 1:
+                    raise FactorizationError(
+                        f"Cholesky failed for {int(real[b].sum())}x"
+                        f"{int(real[b].sum())} system at max jitter "
+                        f"{_JITTERS[-1]:g}"
+                    ) from None
+                level[b] += 1
+        if not failed:
+            raise FactorizationError("stacked Cholesky failed")
+        Mj = M.copy()
+        _diagonal(Mj)[...] += _JITTERS[level][:, None] * real
+
+
+def _inner(X: np.ndarray, Y: np.ndarray) -> float:
+    """sum(X * Y), deliberately without BLAS.
+
+    OpenBLAS runs a dot product of more than ~10^4 entries on all its
+    threads, and their idle spinning afterwards halved the speed of the
+    fit on two cores, where SciPy's BLAS threads spin as well.
+    """
+    return float(np.einsum("i,i->", X.ravel(), Y.ravel()))
+
+
+def _lower_inverse(L: np.ndarray, b: int = _BUCKET) -> np.ndarray:
+    """Inverses of a (B, n, n) stack of lower-triangular matrices, n a
+    multiple of b, by block forward substitution.
+
+    Batched matmuls run several times faster than np.linalg.inv, which
+    does one small LU factorization per matrix.  Diagonal b x b blocks are
+    inverted together, by the same substitution with b = 1.
+    """
+    B, n, _ = L.shape
+    m = n // b
+    idx = np.arange(m)
+    D = L.reshape(B, m, b, m, b)[:, idx, :, idx, :]  # (m, B, b, b)
+    if b == 1:
+        D_inv = 1.0 / D
+    else:
+        D_inv = _lower_inverse(D.reshape(m * B, b, b), 1).reshape(m, B, b, b)
+    X = np.zeros_like(L)
+    for i in range(m):
+        rows, done = slice(i * b, (i + 1) * b), slice(0, i * b)
+        X[:, rows, rows] = D_inv[i]
+        if i:
+            X[:, rows, done] = -D_inv[i] @ (L[:, rows, done] @ X[:, done, done])
+    return X
+
+
+def _factor(K: np.ndarray, scale: float) -> np.ndarray:
+    """Lower Cholesky factor of one matrix, with the jitter escalation of
+    _cholesky_stack.
+
+    SciPy's, like the solves that follow it: NumPy and SciPy each bring
+    their own threaded BLAS, and alternating between the two made each
+    call several times slower on two cores.
+    """
+    eye = np.eye(K.shape[0])
+    for jitter in scale * _JITTERS:
+        try:
+            return cholesky(K + jitter * eye, lower=True)
+        except np.linalg.LinAlgError:
+            pass
+    raise FactorizationError(
+        f"Cholesky failed for {K.shape[0]}x{K.shape[0]} system at max "
+        f"jitter {scale * _JITTERS[-1]:g}"
+    )
 
 
 def predictive(
@@ -132,67 +230,149 @@ def predictive(
     if train_w.shape[0] != train_z.shape[0]:
         raise ValueError("training inputs and responses disagree in count")
     s1 = gram(train_w, hyper)
+    s1[np.diag_indices_from(s1)] += hyper.sigma ** 2
+    L = _factor(s1, hyper.A)
     s3 = _cross_gram(test_u, train_w, hyper)
-    cf, _ = _factor(s1, hyper)
-    mean = s3 @ cho_solve(cf, train_z)
-    cov = s4 - s3 @ cho_solve(cf, s3.T)
+    # One triangular solve serves both: s3 K^-1 [z, s3^T] = V^T [a, V].
+    Va = solve_triangular(L, np.hstack([s3.T, train_z]), lower=True)
+    V, a = Va[:, :m], Va[:, m:]
+    mean = V.T @ a
+    cov = s4 - V.T @ V
     cov = 0.5 * (cov + cov.T)
     d = np.diag(cov).copy()
     np.fill_diagonal(cov, np.clip(d, 0.0, None))
     return PredictiveGaussian(mean=mean, covariance=cov)
 
 
-def _log_marginal_terms(sq: np.ndarray, Z: np.ndarray, hyper: GpHyperParams):
-    """Value (and ingredients) of the un-halved log marginal likelihood."""
-    N, q = Z.shape
-    K = hyper.A * np.exp(-sq / hyper.rho)
-    cf, _ = _factor(K, hyper)
-    alpha = cho_solve(cf, Z)
-    logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
-    value = -float(np.sum(Z * alpha)) - q * logdet - 0.5 * q * N * _LOG_2PI
-    return value, K, cf, alpha
+class _Stats(NamedTuple):
+    """Sufficient statistics of the likelihood of a chart stack at (rho, s).
+
+    U and V hold sum G o (M^-1 P M^-1) and sum G o M^-1 for the generators
+    G = dM/dlog rho (index 0) and G = I (index 1).
+    """
+
+    T: float
+    logdet: float
+    U: np.ndarray
+    V: np.ndarray
+    s: float
+    N: int
+    q: int
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    """Charts of one padded size n.  Padding rows carry an identity block
+    of M and zero responses, so they add nothing to any statistic."""
+
+    sq: np.ndarray  # (B, n, n) squared predictor distances, inf in padding
+    real: np.ndarray  # (B, n) 1 on real rows, 0 on padding
+    R: np.ndarray  # (B, n, r) with R R^T = Z Z^T, 0 in padding
+
+    @classmethod
+    def of(cls, n: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> "_Bucket":
+        q = pairs[0][1].shape[1]
+        sq = np.full((len(pairs), n, n), np.inf)
+        real = np.zeros((len(pairs), n))
+        R = np.zeros((len(pairs), n, min(q, n)))
+        for b, (w, z) in enumerate(pairs):
+            m = w.shape[0]
+            sq[b, :m, :m] = cdist(w, w, "sqeuclidean")
+            real[b, :m] = 1.0
+            r = np.linalg.qr(z.T, mode="r").T  # r r^T = z z^T
+            R[b, :m, : r.shape[1]] = r
+        return cls(sq, real, R)
+
+
+class _ChartStack:
+    """The non-empty charts of a joint fit, grouped by size rounded up to a
+    multiple of _BUCKET, each size split into stacks of at most
+    _STACK_ELEMS entries per matrix array."""
+
+    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]]):
+        pairs = [(w, z) for w, z in pairs if w.shape[0]]
+        qs = {z.shape[1] for _, z in pairs}
+        if len(qs) > 1:
+            raise ValueError("charts disagree in response dimension")
+        self.q = qs.pop() if qs else 0
+        sizes = np.array([w.shape[0] for w, _ in pairs])
+        self.N = int(sizes.sum())
+        padded = -(-sizes // _BUCKET) * _BUCKET
+        self.buckets = []
+        for n in np.unique(padded):
+            same = np.flatnonzero(padded == n)
+            per_stack = max(1, _STACK_ELEMS // (n * n))
+            for start in range(0, len(same), per_stack):
+                self.buckets.append(
+                    _Bucket.of(n, [pairs[i] for i in same[start:start + per_stack]])
+                )
+
+    @classmethod
+    def of_charts(cls, charts: list[ChartRegression]) -> "_ChartStack":
+        return cls([(c.predictors, c.responses) for c in charts])
+
+    def stats(self, rho: float, s: float) -> _Stats:
+        T = logdet = 0.0
+        U = np.zeros(2)
+        V = np.zeros(2)
+        for b in self.buckets:
+            # Kernel entries below half an ulp of the unit diagonal, and the
+            # padding, are set to 0: subnormal results would slow exp and
+            # every product after it several times over.
+            G = b.sq * (-1.0 / rho)
+            np.maximum(G, _EXP_MIN, out=G)
+            M = np.exp(G)
+            M *= G > _EXP_MIN
+            G *= M
+            G *= -1.0  # dM/dlog rho
+            _diagonal(M)[...] += s * b.real + (1.0 - b.real)
+            L = _cholesky_stack(M, b.real)
+            logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
+            Linv = _lower_inverse(L)
+            Minv = np.matmul(Linv.transpose(0, 2, 1), Linv)
+            alpha = Minv @ b.R
+            T += _inner(b.R, alpha)
+            U += (_inner(G @ alpha, alpha), _inner(alpha, alpha))
+            V += (_inner(G, Minv), _inner(_diagonal(Minv), b.real))
+        return _Stats(T, logdet, U, V, s, self.N, self.q)
+
+
+def _value_grad(st: _Stats, A: float) -> tuple[float, np.ndarray]:
+    """Un-halved log likelihood at signal variance A and its gradient in
+    (log A, log rho, log s), each with the other two held fixed."""
+    qN = st.q * st.N
+    value = -st.T / A - qN * (np.log(A) + 0.5 * _LOG_2PI) - st.q * st.logdet
+    grad = np.array([
+        st.T / A - qN,
+        st.U[0] / A - st.q * st.V[0],
+        st.s * (st.U[1] / A - st.q * st.V[1]),
+    ])
+    return value, grad
+
+
+def _single(train_w, train_z, hyper: GpHyperParams):
+    train_w = np.atleast_2d(np.asarray(train_w, dtype=float))
+    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
+    if train_w.shape[0] < 1:
+        raise ValueError("need at least one training point")
+    stack = _ChartStack([(train_w, train_z)])
+    return _value_grad(stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
 
 
 def log_marginal(
     train_w: np.ndarray, train_z: np.ndarray, hyper: GpHyperParams
 ) -> float:
     """Un-halved log marginal likelihood of the responses."""
-    train_w = np.atleast_2d(np.asarray(train_w, dtype=float))
-    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
-    if train_w.shape[0] < 1:
-        raise ValueError("need at least one training point")
-    sq = cdist(train_w, train_w, "sqeuclidean")
-    value, _, _, _ = _log_marginal_terms(sq, train_z, hyper)
-    return value
+    return float(_single(train_w, train_z, hyper)[0])
 
 
 def log_marginal_gradient(
     train_w: np.ndarray, train_z: np.ndarray, hyper: GpHyperParams
 ) -> np.ndarray:
     """Gradient of log_marginal with respect to (log A, log rho, log sigma)."""
-    train_w = np.atleast_2d(np.asarray(train_w, dtype=float))
-    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
-    sq = cdist(train_w, train_w, "sqeuclidean")
-    _, grad = _value_grad_single(sq, train_z, hyper)
-    return grad
-
-
-def _value_grad_single(sq: np.ndarray, Z: np.ndarray, hyper: GpHyperParams):
-    N, q = Z.shape
-    value, K, cf, alpha = _log_marginal_terms(sq, Z, hyper)
-    Kinv = cho_solve(cf, np.eye(N))
-
-    def component(G):
-        # d/dtheta [-tr(Z^T K^-1 Z) - q log det K] with dK/dtheta = G
-        return float(np.sum((G @ alpha) * alpha) - q * np.sum(Kinv * G))
-
-    g_log_a = component(K)
-    g_log_rho = component(K * (sq / hyper.rho))
-    # dK/dlog sigma = 2 sigma^2 I, so the trace contractions collapse
-    g_log_sigma = 2.0 * hyper.sigma ** 2 * float(
-        np.sum(alpha * alpha) - q * np.trace(Kinv)
-    )
-    return value, np.array([g_log_a, g_log_rho, g_log_sigma])
+    _, g = _single(train_w, train_z, hyper)
+    # s = sigma^2 / A: d/dlog A at fixed sigma picks up -d/dlog s.
+    return np.array([g[0] - g[2], g[1], 2.0 * g[2]])
 
 
 def joint_log_marginal(
@@ -201,25 +381,9 @@ def joint_log_marginal(
     """Sum of per-chart log marginal likelihoods under shared hyperparameters."""
     if not charts:
         raise ValueError("charts list is empty")
-    total = 0.0
-    for k, chart in enumerate(charts):
-        if chart.predictors.shape[0] == 0:
-            continue
-        try:
-            total += log_marginal(chart.predictors, chart.responses, hyper)
-        except FactorizationError as exc:
-            raise FactorizationError(f"chart {k}: {exc}") from exc
-    return total
-
-
-def _chart_arrays(charts: list[ChartRegression]):
-    out = []
-    for chart in charts:
-        if chart.predictors.shape[0] == 0:
-            continue
-        w = chart.predictors
-        out.append((cdist(w, w, "sqeuclidean"), chart.responses))
-    return out
+    stack = _ChartStack.of_charts(charts)
+    st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
+    return float(_value_grad(st, hyper.A)[0])
 
 
 def default_init(charts: list[ChartRegression]) -> GpHyperParams:
@@ -248,57 +412,80 @@ def fit_hyperparams(
 ) -> GpHyperParams:
     """Maximize the joint log marginal likelihood over (A, rho, sigma).
 
-    L-BFGS in log-parameter space from the supplied init plus a fixed
-    one-decade multi-start grid; deterministic, and the returned point is
-    never worse than the init.
+    A is profiled out; L-BFGS searches (log rho, log s), s = sigma^2 / A,
+    from the supplied init and from rho x10, /10 and s x100, /100.
+    Deterministic, and the returned point is never worse than the init
+    nor than any start's optimum.
     """
     if not charts:
         raise ValueError("charts list is empty")
     if init is None:
         init = default_init(charts)
-    data = _chart_arrays(charts)
-    if not data:
+    init = GpHyperParams(init.A, init.rho, max(init.sigma, SIGMA_FLOOR))
+    stack = _ChartStack.of_charts(charts)
+    if not stack.N:
         raise OptimizationError("all charts are empty")
+    # Scaled by qN so that the optimizer's tolerances do not depend on the
+    # data size: unscaled, starts stopped after two evaluations at rho -> 0.
+    qN = stack.q * stack.N
+
+    last: dict = {}
+
+    def profiled(theta) -> tuple[_Stats, float]:
+        """Statistics at theta and the maximizing A within its bounds.  The
+        last point is kept: L-BFGS usually returns the point it evaluated
+        last."""
+        key = tuple(theta)
+        if key not in last:
+            rho, s = np.exp(theta)
+            st = stack.stats(rho, s)
+            A = float(np.clip(st.T / qN, np.exp(-_LOG_A_BOUND),
+                              np.exp(_LOG_A_BOUND)))
+            last.clear()
+            last[key] = st, A
+        return last[key]
 
     def neg(theta):
-        hyper = GpHyperParams(
-            A=np.exp(theta[0]),
-            rho=np.exp(theta[1]),
-            sigma=max(np.exp(theta[2]), SIGMA_FLOOR),
-        )
-        value = 0.0
-        grad = np.zeros(3)
         try:
-            for sq, Z in data:
-                v, g = _value_grad_single(sq, Z, hyper)
-                value += v
-                grad += g
+            st, A = profiled(theta)
         except FactorizationError:
-            return np.inf, np.zeros(3)
-        return -value, -grad
+            return np.inf, np.zeros(2)
+        # At a clamped A this is the full likelihood, else the profiled one
+        # (whose gradient the envelope theorem makes the fixed-A gradient).
+        value, grad = _value_grad(st, A)
+        return -value / qN, -grad[1:] / qN
 
-    t0 = np.log([init.A, init.rho, max(init.sigma, SIGMA_FLOOR)])
-    shift = np.log(10.0)
+    def scaled(hyper: GpHyperParams) -> float:
+        try:
+            st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
+        except FactorizationError:
+            return -np.inf
+        return _value_grad(st, hyper.A)[0] / qN
+
+    t0 = np.log([init.rho, init.sigma ** 2 / init.A])
     starts = [t0]
-    for i in range(3):
-        for s in (-shift, shift):
+    for i, shift in ((0, np.log(10.0)), (1, np.log(100.0))):
+        for sign in (-1.0, 1.0):
             t = t0.copy()
-            t[i] += s
+            t[i] += sign * shift
             starts.append(t)
-    bounds = [(-40.0, 40.0), (-40.0, 40.0), (np.log(SIGMA_FLOOR), 40.0)]
+    bounds = [(-40.0, 40.0),
+              (2.0 * np.log(SIGMA_FLOOR) - _LOG_A_BOUND, 3.0 * _LOG_A_BOUND)]
 
-    best_theta, best_val = t0, neg(t0)[0]
-    any_ok = np.isfinite(best_val)
+    best, best_val = init, scaled(init)
     for t in starts:
         res = minimize(neg, t, jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": 200})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_theta, best_val = res.x, res.fun
-            any_ok = True
-    if not any_ok:
+        if not np.isfinite(res.fun):
+            continue
+        st, A = profiled(res.x)
+        sigma = float(np.sqrt(st.s * A))
+        hyper = GpHyperParams(A=A, rho=float(np.exp(res.x[0])),
+                              sigma=max(sigma, SIGMA_FLOOR))
+        # The sigma floor moves the point off the optimizer's value.
+        val = -res.fun if sigma >= SIGMA_FLOOR else scaled(hyper)
+        if val > best_val:
+            best, best_val = hyper, val
+    if not np.isfinite(best_val):
         raise OptimizationError("factorization failed from every start")
-    return GpHyperParams(
-        A=float(np.exp(best_theta[0])),
-        rho=float(np.exp(best_theta[1])),
-        sigma=float(max(np.exp(best_theta[2]), SIGMA_FLOOR)),
-    )
+    return best

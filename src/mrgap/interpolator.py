@@ -82,9 +82,10 @@ def interpolate(
     d = config.intrinsic_dim
     chart_seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
 
-    produced: list[np.ndarray] = []
     chart_of: list[int] = []
-    accumulated = np.empty((0, cloud.ambient_dim))
+    # Interpolated points so far are accumulated[:filled].
+    accumulated = np.empty((cloud.n * K, cloud.ambient_dim))
+    filled = 0
     for k in range(cloud.n):
         chart = build_chart_data(cloud, k, config.epsilon, config.delta, d)
         w = chart.predictors
@@ -102,8 +103,8 @@ def interpolate(
 
         # Gluing points: earlier interpolated points within delta of y_k.
         base = chart.frame.base
-        if accumulated.shape[0]:
-            rel = accumulated - base
+        if filled:
+            rel = accumulated[:filled] - base
             glue = rel[np.linalg.norm(rel, axis=1) <= config.delta] @ chart.frame.U
             w_glue, z_glue = glue[:, :d], glue[:, d:]
         else:
@@ -117,11 +118,11 @@ def interpolate(
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
         local = np.hstack([test_u, post.mean])
         pts = base + local @ chart.frame.U.T
-        produced.append(pts)
         chart_of.extend([k] * K)
-        accumulated = np.vstack([accumulated, pts])
+        accumulated[filled:filled + K] = pts
+        filled += K
 
-    out = PointCloud(accumulated)
+    out = PointCloud(accumulated[:filled])
     if return_chart_index:
         return out, np.asarray(chart_of, dtype=int)
     return out

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +171,11 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert run(["evaluate", "--bogus"]) == 2
+
+    def test_unavailable_thread_cap_warns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MRGAP_THREADS", "1")
+        # A None entry makes the import raise ImportError.
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        assert run(["generate", "--shape", "cassini", "--n", 10,
+                    "--out", tmp_path / "c.csv"]) == 0
+        assert "warning: thread cap unavailable" in capsys.readouterr().err

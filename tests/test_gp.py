@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from mrgap import gp
 from mrgap.gp import (
+    SIGMA_FLOOR,
+    FactorizationError,
     GpHyperParams,
     fit_hyperparams,
     gram,
@@ -297,3 +300,124 @@ class TestJointAndFit:
             GpHyperParams(A=1.0, rho=0.0, sigma=0.1)
         with pytest.raises(ValueError):
             GpHyperParams(A=1.0, rho=1.0, sigma=-0.1)
+
+
+def mixed_charts(seed):
+    """Charts of sizes 1 to 20 across several padded sizes, one empty."""
+    rng = np.random.default_rng(seed)
+    charts = [make_chart(np.empty((0, 2)), np.empty((0, 2)))]
+    for N in (1, 3, 8, 9, 17, 20):
+        charts.append(make_chart(rng.normal(size=(N, 2)),
+                                 rng.normal(size=(N, 2))))
+    return charts
+
+
+def hyper_from(theta):
+    """Hyperparameters at (log A, log rho, log s), s = sigma^2 / A."""
+    A, rho, s = np.exp(theta)
+    return GpHyperParams(A=A, rho=rho, sigma=np.sqrt(s * A))
+
+
+def dense_joint(charts, hyper):
+    return sum(dense_log_marginal_oracle(c.predictors, c.responses, hyper)
+               for c in charts if c.predictors.shape[0])
+
+
+class TestStackedKernel:
+    def test_value_and_gradient_match_dense_oracle(self):
+        charts = mixed_charts(20)
+        theta = np.log([1.3, 0.7, 0.2 ** 2 / 1.3])
+        hyper = hyper_from(theta)
+        stack = gp._ChartStack.of_charts(charts)
+        assert len(stack.buckets) >= 3
+        value, grad = gp._value_grad(
+            stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
+        np.testing.assert_allclose(value, dense_joint(charts, hyper),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(joint_log_marginal(charts, hyper), value,
+                                   rtol=1e-12)
+        h = 1e-5
+        fd = np.empty(3)
+        for i in range(3):
+            tp, tm = theta.copy(), theta.copy()
+            tp[i] += h
+            tm[i] -= h
+            fd[i] = (dense_joint(charts, hyper_from(tp))
+                     - dense_joint(charts, hyper_from(tm))) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+
+    def test_profiled_signal_variance_is_stationary(self):
+        # A* = sum tr(Z^T (K0 + sI)^-1 Z) / (q sum N), from dense matrices.
+        charts = mixed_charts(21)
+        rho, s = 0.5, 0.05
+        T, qN = 0.0, 0
+        for c in charts:
+            N, q = c.responses.shape
+            if not N:
+                continue
+            K0 = gram(c.predictors, GpHyperParams(1.0, rho, 0.0))
+            T += np.trace(c.responses.T @ np.linalg.solve(
+                K0 + s * np.eye(N), c.responses))
+            qN += q * N
+        a_star = np.log(T / qN)
+        h = 1e-5
+
+        def dL(log_a):
+            up = hyper_from([log_a + h, np.log(rho), np.log(s)])
+            down = hyper_from([log_a - h, np.log(rho), np.log(s)])
+            return (joint_log_marginal(charts, up)
+                    - joint_log_marginal(charts, down)) / (2 * h)
+
+        assert abs(dL(a_star)) <= 1e-6 * qN
+        assert dL(a_star + 1.0) < -0.1 * qN
+        assert dL(a_star - 1.0) > 0.1 * qN
+
+    def test_jitter_on_duplicate_predictors_at_sigma_floor(self):
+        rng = np.random.default_rng(22)
+        w = rng.normal(size=(6, 2))
+        dup = make_chart(np.vstack([w, w]), rng.normal(size=(12, 1)))
+        other = make_chart(rng.normal(size=(7, 2)), rng.normal(size=(7, 1)))
+        hyper = GpHyperParams(A=1.0, rho=0.5, sigma=SIGMA_FLOOR)
+        single = log_marginal(dup.predictors, dup.responses, hyper)
+        assert np.isfinite(single)
+        assert np.all(np.isfinite(
+            log_marginal_gradient(dup.predictors, dup.responses, hyper)))
+        # Only the singular chart gets jitter; its stack-mate keeps none.
+        np.testing.assert_allclose(
+            joint_log_marginal([dup, other], hyper),
+            single + log_marginal(other.predictors, other.responses, hyper),
+            rtol=1e-12)
+        fitted = fit_hyperparams([dup, other], hyper)
+        assert fitted.sigma >= SIGMA_FLOOR
+        assert (joint_log_marginal([dup, other], fitted)
+                >= joint_log_marginal([dup, other], hyper))
+
+    def test_jitter_escalates_per_matrix_then_raises(self):
+        pd = np.array([[2.0, 0.5], [0.5, 1.0]])
+        singular = np.ones((2, 2))
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        real = np.ones((2, 2))
+        L = gp._cholesky_stack(np.stack([pd, singular]), real)
+        np.testing.assert_array_equal(L[0], np.linalg.cholesky(pd))
+        np.testing.assert_allclose(L[1] @ L[1].T, singular, atol=1e-6)
+        with pytest.raises(FactorizationError):
+            gp._cholesky_stack(np.stack([pd, indefinite]), real)
+
+    def test_fit_is_no_worse_than_any_start(self, monkeypatch):
+        results = []
+        minimize = gp.minimize
+
+        def spy(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(gp, "minimize", spy)
+        charts = mixed_charts(23)
+        init = GpHyperParams(A=0.5, rho=2.0, sigma=0.5)
+        fitted = fit_hyperparams(charts, init)
+        assert len(results) == 5
+        qN = 2 * sum(c.predictors.shape[0] for c in charts)
+        got = joint_log_marginal(charts, fitted)
+        assert got >= joint_log_marginal(charts, init)
+        for res in results:
+            assert got >= -res.fun * qN - 1e-9 * abs(got)
