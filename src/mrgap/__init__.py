@@ -10,7 +10,7 @@ from .denoiser import DenoiseConfig, DenoiseTrace, denoise, denoise_round
 from .evaluation import GrmseReport, grmse, grmse_analytic, sandwich_gap_check
 from .gp import GpHyperParams, PredictiveGaussian, fit_hyperparams, predictive
 from .interpolator import DomainBall, interpolate
-from .local_geometry import ChartRegression, LocalFrame, build_chart_data
+from .local_geometry import ChartRegression
 from .point_cloud import (
     NoiseSpec,
     PointCloud,
@@ -32,9 +32,7 @@ __all__ = [
     "gen_torus",
     "gen_ellipsoid_embedded",
     "add_gaussian_noise",
-    "LocalFrame",
     "ChartRegression",
-    "build_chart_data",
     "GpHyperParams",
     "PredictiveGaussian",
     "predictive",

@@ -2,8 +2,10 @@
 fitted noise level stabilizes.
 
 Each round rebuilds every chart from the current cloud, fits one shared
-(A, rho, sigma) across all charts, and moves each point purely in its
-normal subspace toward the chart's predicted graph value at the origin.
+(A, rho, sigma) across all charts, and moves each point by the chart's
+posterior mean at the origin of its tangent coordinates.  That mean is a
+combination of the chart's residual responses, so it is a displacement
+in the normal space: no point moves along its own tangent directions.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .local_geometry import ChartRegression, build_chart_data
+from .local_geometry import build_charts
 from .point_cloud import PointCloud
 
 __all__ = ["DenoiseConfig", "DenoiseTrace", "denoise_round", "denoise"]
@@ -57,17 +59,6 @@ class DenoiseTrace:
         return len(self.hypers)
 
 
-def build_all_charts(
-    cloud: PointCloud, config: DenoiseConfig
-) -> list[ChartRegression]:
-    return [
-        build_chart_data(
-            cloud, k, config.epsilon, config.delta, config.intrinsic_dim
-        )
-        for k in range(cloud.n)
-    ]
-
-
 def denoise_round(
     cloud: PointCloud,
     config: DenoiseConfig,
@@ -75,16 +66,15 @@ def denoise_round(
 ) -> tuple[PointCloud, gp.GpHyperParams, np.ndarray]:
     """One denoising pass: returns (new cloud, fitted hyperparameters,
     per-point predictive variance at the chart origin)."""
-    charts = build_all_charts(cloud, config)
+    charts = build_charts(cloud, config.epsilon, config.delta,
+                          config.intrinsic_dim)
     hyper = gp.fit_hyperparams(charts, hyper_warm)
-    d = config.intrinsic_dim
-    origin = np.zeros((1, d))
+    origin = np.zeros((1, config.intrinsic_dim))
     new_pts = np.empty_like(cloud.points)
     variances = np.empty(cloud.n)
     for k, chart in enumerate(charts):
         post = gp.predictive(chart.predictors, chart.responses, origin, hyper)
-        disp = np.concatenate([np.zeros(d), post.mean[0]])
-        new_pts[k] = cloud.points[k] + chart.frame.U @ disp
+        new_pts[k] = cloud.points[k] + post.mean[0]
         variances[k] = post.covariance[0, 0]
     return PointCloud(new_pts), hyper, variances
 

@@ -17,8 +17,13 @@ unit-variance Gram and s = sigma^2 / A, the likelihood of all charts is
 with T = sum_k tr(M_k^-1 P_k) and P_k = Z_k Z_k^T.  For fixed (rho, s) it
 is maximized by A* = T / (qN) (the profile likelihood, Rasmussen &
 Williams, GPML ch. 5), so the fit searches (log rho, log s) only.  P_k is
-kept as a factor R_k R_k^T with min(q, N_k) columns, computed once per
+kept as a factor R_k R_k^T with at most N_k columns, computed once per
 fit, so an evaluation costs no more for q = 700 than for q = N_k.
+
+A chart's responses are ambient residuals: D columns that span only its
+q = D - d normal directions.  Z_k Z_k^T is the same in any orthonormal
+basis of that space, so the likelihood uses them as they are, with the
+chart's q (not D) as the count of response dimensions.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ __all__ = [
     "PredictiveGaussian",
     "FactorizationError",
     "OptimizationError",
-    "kernel",
     "gram",
     "predictive",
     "log_marginal",
@@ -95,14 +99,6 @@ class PredictiveGaussian:
 
     mean: np.ndarray  # (m, q)
     covariance: np.ndarray  # (m, m)
-
-
-def kernel(u: np.ndarray, v: np.ndarray, hyper: GpHyperParams) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("dimension mismatch")
-    return float(hyper.A * np.exp(-np.sum((u - v) ** 2) / hyper.rho))
 
 
 def gram(points: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
@@ -271,10 +267,10 @@ class _Bucket:
 
     @classmethod
     def of(cls, n: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> "_Bucket":
-        q = pairs[0][1].shape[1]
+        width = pairs[0][1].shape[1]
         sq = np.full((len(pairs), n, n), np.inf)
         real = np.zeros((len(pairs), n))
-        R = np.zeros((len(pairs), n, min(q, n)))
+        R = np.zeros((len(pairs), n, min(width, n)))
         for b, (w, z) in enumerate(pairs):
             m = w.shape[0]
             sq[b, :m, :m] = cdist(w, w, "sqeuclidean")
@@ -287,14 +283,14 @@ class _Bucket:
 class _ChartStack:
     """The non-empty charts of a joint fit, grouped by size rounded up to a
     multiple of _BUCKET, each size split into stacks of at most
-    _STACK_ELEMS entries per matrix array."""
+    _STACK_ELEMS entries per matrix array.  q is the count of response
+    dimensions: a chart's codim, not the D columns of its residuals."""
 
-    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], q: int):
         pairs = [(w, z) for w, z in pairs if w.shape[0]]
-        qs = {z.shape[1] for _, z in pairs}
-        if len(qs) > 1:
+        if len({z.shape[1] for _, z in pairs}) > 1:
             raise ValueError("charts disagree in response dimension")
-        self.q = qs.pop() if qs else 0
+        self.q = q
         sizes = np.array([w.shape[0] for w, _ in pairs])
         self.N = int(sizes.sum())
         padded = -(-sizes // _BUCKET) * _BUCKET
@@ -309,7 +305,8 @@ class _ChartStack:
 
     @classmethod
     def of_charts(cls, charts: list[ChartRegression]) -> "_ChartStack":
-        return cls([(c.predictors, c.responses) for c in charts])
+        return cls([(c.predictors, c.responses) for c in charts],
+                   charts[0].codim)
 
     def stats(self, rho: float, s: float) -> _Stats:
         T = logdet = 0.0
@@ -355,7 +352,7 @@ def _single(train_w, train_z, hyper: GpHyperParams):
     train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
     if train_w.shape[0] < 1:
         raise ValueError("need at least one training point")
-    stack = _ChartStack([(train_w, train_z)])
+    stack = _ChartStack([(train_w, train_z)], train_z.shape[1])
     return _value_grad(stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
 
 
@@ -392,9 +389,8 @@ def default_init(charts: list[ChartRegression]) -> GpHyperParams:
     var_sum, var_cnt = 0.0, 0
     sq_all = []
     for chart in charts:
-        if chart.responses.size:
-            var_sum += float(np.sum(chart.responses ** 2))
-            var_cnt += chart.responses.size
+        var_sum += float(np.sum(chart.responses ** 2))
+        var_cnt += chart.responses.shape[0] * chart.codim
         w = chart.predictors
         if w.shape[0] > 1:
             sq = cdist(w, w, "sqeuclidean")

@@ -3,7 +3,9 @@
 Charts are rebuilt from the second-to-last denoised cloud and visited in
 index order; each chart's training set is augmented with previously
 interpolated points inside its delta-ball, which glues overlapping charts
-together smoothly.
+together smoothly.  A new point is the chart's base plus its sampled
+tangent displacement plus the posterior mean of the ambient residual
+there.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import gp
 from .denoiser import DenoiseConfig, DenoiseTrace
-from .local_geometry import build_chart_data
+from .local_geometry import build_charts
 from .point_cloud import PointCloud
 
 __all__ = [
@@ -31,18 +33,23 @@ class DomainBall:
     """Sampling region in a chart's tangent coordinates."""
 
     center: np.ndarray
-    radius: float  # mean minus stddev of distances to the center
+    radius: float  # see estimate_domain_ball
 
 
 def estimate_domain_ball(predictors: np.ndarray) -> DomainBall:
     """Center = mean predictor; radius = mean - population stddev of the
-    distances to the center."""
+    distances to the center, or half their mean where that is not
+    positive.  The radius is 0 only if all predictors coincide."""
     predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
     if predictors.shape[0] < 2:
         raise ValueError("need at least 2 predictors")
     center = predictors.mean(axis=0)
     dists = np.linalg.norm(predictors - center, axis=1)
-    return DomainBall(center=center, radius=float(dists.mean() - dists.std()))
+    mean = float(dists.mean())
+    radius = mean - float(dists.std())
+    if radius <= 0.0:
+        radius = 0.5 * mean
+    return DomainBall(center=center, radius=radius)
 
 
 def sample_ball_uniform(
@@ -86,40 +93,27 @@ def interpolate(
     # Interpolated points so far are accumulated[:filled].
     accumulated = np.empty((cloud.n * K, cloud.ambient_dim))
     filled = 0
-    for k in range(cloud.n):
-        chart = build_chart_data(cloud, k, config.epsilon, config.delta, d)
-        w = chart.predictors
-        center = w.mean(axis=0)
-        dists = np.linalg.norm(w - center, axis=1)
-        m_k, s_k = float(dists.mean()), float(dists.std())
-        radius = m_k - s_k
-        if radius <= 0.0:
-            if m_k == 0.0:
-                warnings.warn(f"chart {k}: degenerate domain, skipped")
-                continue
-            radius = 0.5 * m_k
-        ball = DomainBall(center=center, radius=radius)
+    charts = build_charts(cloud, config.epsilon, config.delta, d)
+    for k, chart in enumerate(charts):
+        ball = estimate_domain_ball(chart.predictors)
+        if ball.radius == 0.0:
+            warnings.warn(f"chart {k}: degenerate domain, skipped")
+            continue
         test_u = sample_ball_uniform(ball, K, d, int(chart_seeds[k]))
 
         # Gluing points: earlier interpolated points within delta of y_k.
-        base = chart.frame.base
-        if filled:
-            rel = accumulated[:filled] - base
-            glue = rel[np.linalg.norm(rel, axis=1) <= config.delta] @ chart.frame.U
-            w_glue, z_glue = glue[:, :d], glue[:, d:]
-        else:
-            w_glue = np.empty((0, d))
-            z_glue = np.empty((0, cloud.ambient_dim - d))
-        train_w = np.vstack([w, w_glue])
-        train_z = np.vstack([chart.responses, z_glue])
+        rel = accumulated[:filled] - chart.base
+        rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
+        w_glue = rel @ chart.U
+        train_w = np.vstack([chart.predictors, w_glue])
+        train_z = np.vstack([chart.responses, rel - w_glue @ chart.U.T])
         try:
             post = gp.predictive(train_w, train_z, test_u, hyper)
         except gp.FactorizationError as exc:
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
-        local = np.hstack([test_u, post.mean])
-        pts = base + local @ chart.frame.U.T
         chart_of.extend([k] * K)
-        accumulated[filled:filled + K] = pts
+        accumulated[filled:filled + K] = (
+            chart.base + test_u @ chart.U.T + post.mean)
         filled += K
 
     out = PointCloud(accumulated[:filled])

@@ -1,8 +1,12 @@
-"""Local covariance matrices, eigen-frames, and tangent/normal projections.
+"""Local covariance matrices and the per-point chart regressions.
 
-The local frame at a sample point turns the global reconstruction problem
-into a per-point regression: tangent-projected displacements are the
-predictors, normal-projected displacements the responses.
+The chart at a sample point y_k turns the global reconstruction problem
+into a regression: the tangent coordinates of the displacements y_j - y_k
+are the predictors, and what is left of each displacement after its
+tangent part is removed is the response.  The responses stay in ambient
+coordinates.  The likelihood sees them only through Z Z^T and the count
+q = D - d of normal directions, and neither depends on a basis of the
+normal space, so no chart computes or stores one.
 """
 
 from __future__ import annotations
@@ -11,18 +15,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .point_cloud import PointCloud
 
 __all__ = [
-    "LocalFrame",
     "ChartRegression",
     "InsufficientNeighborsError",
     "local_covariance",
-    "eigen_frame",
-    "project_tangent",
-    "project_normal",
-    "build_chart_data",
+    "build_charts",
 ]
 
 
@@ -31,36 +32,26 @@ class InsufficientNeighborsError(ValueError):
 
 
 @dataclass(frozen=True)
-class LocalFrame:
-    """Orthonormal eigenbasis of a local covariance matrix at a base point.
+class ChartRegression:
+    """Regression data of the chart at base: tangent predictors W = X U and
+    ambient residual responses X - W U^T, X the displacements of the
+    members from base.
 
-    Columns of U are eigenvectors in descending eigenvalue order; the
-    first intrinsic_dim columns span the estimated tangent space, the
-    rest the normal space.
+    For each member j, base + predictors[j] @ U.T + responses[j] recovers
+    the original point.
     """
 
-    base: np.ndarray
-    U: np.ndarray
-    eigenvalues: np.ndarray
-    intrinsic_dim: int
+    base: np.ndarray  # (D,)
+    U: np.ndarray  # (D, d) orthonormal tangent basis
+    predictors: np.ndarray  # (N, d)
+    responses: np.ndarray  # (N, D), orthogonal to U
+    member_indices: np.ndarray  # (N,) ascending
 
     @property
-    def ambient_dim(self) -> int:
-        return self.base.shape[0]
-
-
-@dataclass(frozen=True)
-class ChartRegression:
-    """Per-point regression data: tangent predictors and normal responses.
-
-    For each member j, base + U @ concat(w[j], z[j]) recovers the original
-    point exactly (orthogonal change of coordinates).
-    """
-
-    frame: LocalFrame
-    predictors: np.ndarray  # (N_k, d)
-    responses: np.ndarray  # (N_k, D - d)
-    member_indices: np.ndarray
+    def codim(self) -> int:
+        """Number q = D - d of normal directions: the likelihood's count of
+        response columns."""
+        return self.U.shape[0] - self.U.shape[1]
 
 
 def local_covariance(cloud: PointCloud, k: int, epsilon: float) -> np.ndarray:
@@ -80,76 +71,53 @@ def local_covariance(cloud: PointCloud, k: int, epsilon: float) -> np.ndarray:
     return (sel.T @ sel) / cloud.n
 
 
-def eigen_frame(C: np.ndarray, base: np.ndarray, d: int) -> LocalFrame:
-    """Full eigendecomposition of a symmetric matrix as a LocalFrame.
+def build_charts(
+    cloud: PointCloud, epsilon: float, delta: float, d: int
+) -> list[ChartRegression]:
+    """The chart regression at every point of the cloud, in index order.
 
-    Eigenvalues come out descending and clamped at zero; each eigenvector
-    is oriented so its largest-magnitude entry is positive, which makes
-    runs deterministic (the underlying decomposition is sign-agnostic).
+    U holds the top d right singular vectors of the epsilon-ball
+    displacements, which are the top d eigenvectors of local_covariance;
+    each is oriented so its largest-magnitude entry is positive, which
+    makes runs deterministic.  Predictors and responses come from all
+    delta-neighbors (y_k itself contributes a zero row).  Both balls are
+    closed.  One k-d tree query finds the candidates of both, which are
+    then tested by the exact distance.  Fails loudly if an epsilon-ball
+    holds d or fewer points.
     """
-    C = np.asarray(C, dtype=float)
-    base = np.asarray(base, dtype=float)
-    D = C.shape[0]
-    if C.shape != (D, D) or np.max(np.abs(C - C.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
+    if epsilon <= 0 or delta <= 0:
+        raise ValueError("epsilon and delta must be positive")
+    D = cloud.ambient_dim
     if not 1 <= d < D:
         raise ValueError(f"intrinsic dim must satisfy 1 <= d < {D}, got {d}")
-    evals, evecs = np.linalg.eigh(C)
-    evals = np.clip(evals[::-1], 0.0, None)
-    evecs = evecs[:, ::-1]
-    flip = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(D)] < 0
-    evecs = np.where(flip, -evecs, evecs)
-    return LocalFrame(base=base, U=evecs, eigenvalues=evals, intrinsic_dim=d)
-
-
-def project_tangent(frame: LocalFrame, y: np.ndarray) -> np.ndarray:
-    """Coordinates of y - base along the first d eigenvectors."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != frame.base.shape:
-        raise ValueError("dimension mismatch")
-    return frame.U[:, : frame.intrinsic_dim].T @ (y - frame.base)
-
-
-def project_normal(frame: LocalFrame, y: np.ndarray) -> np.ndarray:
-    """Coordinates of y - base along the last D - d eigenvectors."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != frame.base.shape:
-        raise ValueError("dimension mismatch")
-    return frame.U[:, frame.intrinsic_dim :].T @ (y - frame.base)
-
-
-def build_chart_data(
-    cloud: PointCloud,
-    k: int,
-    epsilon: float,
-    delta: float,
-    d: int,
-) -> ChartRegression:
-    """Chart regression problem at y_k.
-
-    Frame from the epsilon-ball covariance; predictors/responses from all
-    delta-neighbors (y_k itself contributes the pair (0, 0)).  Fails
-    loudly if the epsilon-ball holds d or fewer points.
-    """
     if delta <= epsilon:
         warnings.warn(
             f"delta ({delta}) should exceed epsilon ({epsilon})", stacklevel=2
         )
     pts = cloud.points
-    diff = pts - pts[k]
-    dist = np.linalg.norm(diff, axis=1)
-    n_eps = int(np.count_nonzero(dist <= epsilon))
-    if n_eps <= d:
-        raise InsufficientNeighborsError(
-            f"point {k}: epsilon-ball holds {n_eps} points, need more than {d}"
-        )
-    C = local_covariance(cloud, k, epsilon)
-    frame = eigen_frame(C, pts[k], d)
-    members = np.flatnonzero(dist <= delta)
-    local = diff[members] @ frame.U
-    return ChartRegression(
-        frame=frame,
-        predictors=local[:, :d],
-        responses=local[:, d:],
-        member_indices=members,
-    )
+    # The slack keeps every point the exact test below accepts, whatever
+    # rounding the tree's own distances have.
+    radius = max(epsilon, delta) * (1.0 + 1e-9)
+    candidates = cKDTree(pts).query_ball_point(pts, radius, return_sorted=True)
+    charts = []
+    for k, cand in enumerate(candidates):
+        cand = np.asarray(cand, dtype=np.intp)
+        diff = pts[cand] - pts[k]
+        dist = np.linalg.norm(diff, axis=1)
+        ball = diff[dist <= epsilon]
+        if ball.shape[0] <= d:
+            raise InsufficientNeighborsError(
+                f"point {k}: epsilon-ball holds {ball.shape[0]} points, "
+                f"need more than {d}"
+            )
+        U = np.linalg.svd(ball, full_matrices=False)[2][:d].T
+        flip = U[np.argmax(np.abs(U), axis=0), np.arange(d)] < 0
+        U = np.where(flip, -U, U)
+        keep = dist <= delta
+        X = diff[keep]
+        W = X @ U
+        charts.append(ChartRegression(
+            base=pts[k], U=U, predictors=W, responses=X - W @ U.T,
+            member_indices=cand[keep],
+        ))
+    return charts

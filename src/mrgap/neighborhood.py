@@ -1,65 +1,18 @@
-"""Euclidean radius queries and point-to-set distances."""
+"""Nearest-set distances."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .point_cloud import PointCloud
 
-__all__ = ["NeighborList", "radius_neighbors", "dist_to_set"]
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    center: np.ndarray
-    radius: float
-    indices: np.ndarray  # sorted ascending, no duplicates
-
-
-def radius_neighbors(
-    cloud: PointCloud,
-    center: np.ndarray,
-    r: float,
-    include_self: bool = True,
-) -> NeighborList:
-    """Indices i with ||y_i - center|| <= r (closed ball).
-
-    With include_self=False, indices of points exactly coincident with
-    the center are dropped.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (cloud.ambient_dim,):
-        raise ValueError(
-            f"center has dimension {center.shape}, cloud is R^{cloud.ambient_dim}"
-        )
-    d = np.linalg.norm(cloud.points - center, axis=1)
-    mask = d <= r
-    if not include_self:
-        mask &= d > 0.0
-    idx = np.flatnonzero(mask)
-    return NeighborList(center=center, radius=float(r), indices=idx)
-
-
-def dist_to_set(point: np.ndarray, reference: PointCloud) -> float:
-    """Exact minimum Euclidean distance from a point to a finite set."""
-    if reference.n == 0:
-        raise ValueError("reference set is empty")
-    point = np.asarray(point, dtype=float)
-    if point.shape != (reference.ambient_dim,):
-        raise ValueError("dimension mismatch")
-    return float(np.min(np.linalg.norm(reference.points - point, axis=1)))
+__all__ = ["dists_to_set"]
 
 
 def dists_to_set(points: np.ndarray, reference: PointCloud) -> np.ndarray:
-    """Nearest-set distance for many query points at once.
-
-    Uses a k-d tree; results are exact and match dist_to_set.
-    """
+    """Exact minimum Euclidean distance from each query point to a finite
+    set, by a k-d tree."""
     if reference.n == 0:
         raise ValueError("reference set is empty")
     tree = cKDTree(reference.points)

@@ -12,7 +12,11 @@ from mrgap.denoiser import DenoiseConfig, denoise
 from mrgap.evaluation import circle, grmse, sandwich_gap_check
 from mrgap.gp import GpHyperParams, log_marginal, log_marginal_gradient, predictive
 from mrgap.interpolator import interpolate
-from mrgap.local_geometry import eigen_frame, local_covariance
+from mrgap.local_geometry import (
+    InsufficientNeighborsError,
+    build_charts,
+    local_covariance,
+)
 from mrgap.point_cloud import (
     NoiseSpec,
     PointCloud,
@@ -22,6 +26,8 @@ from mrgap.point_cloud import (
     gen_torus,
 )
 from mrgap.spectral_dim import diffusion_embedding, estimate_dimension, graph_laplacian
+
+from .oracles import dense_log_marginal
 
 
 def report(name, ok):
@@ -129,13 +135,7 @@ class TestGpGuarantees:
             )
             w = rng.normal(size=(N, 2))
             z = rng.normal(size=(N, q))
-            sq = np.sum((w[:, None] - w[None, :]) ** 2, axis=2)
-            K = hyper.A * np.exp(-sq / hyper.rho) + hyper.sigma ** 2 * np.eye(N)
-            want = (
-                -np.trace(z.T @ np.linalg.inv(K) @ z)
-                - q * np.log(np.linalg.det(K))
-                - 0.5 * q * N * np.log(2 * np.pi)
-            )
+            want = dense_log_marginal(w, z, hyper)
             worst = max(worst, abs(log_marginal(w, z, hyper) - want))
         report(f"gp log marginal vs dense oracle: max err {worst:.2e}",
                worst <= 1e-8)
@@ -168,28 +168,57 @@ class TestGpGuarantees:
                worst <= 1e-4)
 
 
+def chart_basis(cloud, k, eps, d):
+    """The tangent basis build_charts gives chart k.
+
+    It depends only on the epsilon-ball of y_k, so the charts are built on
+    that ball alone, with a radius that holds the whole ball from each of
+    its points: elsewhere in the cloud a point may hold too few neighbors
+    for a chart, and build_charts would stop there.
+    """
+    dist = np.linalg.norm(cloud.points - cloud.points[k], axis=1)
+    ball = np.flatnonzero(dist <= eps)
+    charts = build_charts(PointCloud(cloud.points[ball]), 3 * eps, 4 * eps, d)
+    return charts[int(np.searchsorted(ball, k))].U
+
+
 class TestFrameGuarantees:
     def test_frame_invariants(self):
+        # The tangent basis U of build_charts: orthonormal columns that are
+        # eigenvectors of the epsilon-ball covariance C with descending
+        # eigenvalues lam = diag(U^T C U).  An epsilon-ball of d or fewer
+        # points has no chart, and build_charts must refuse it.
         rng = np.random.default_rng(3)
         ortho = recon = order = trans = 0.0
+        refused = wrongly_refused = 0
         for _ in range(100):
             n, D = int(rng.integers(20, 60)), int(rng.integers(2, 6))
             cloud = PointCloud(rng.normal(size=(n, D)))
             k = int(rng.integers(n))
             eps = float(rng.uniform(0.8, 2.0))
+            d = int(rng.integers(1, D))
             C = local_covariance(cloud, k, eps)
-            frame = eigen_frame(C, cloud.points[k], int(rng.integers(1, D)))
-            U, lam = frame.U, frame.eigenvalues
-            ortho = max(ortho, float(np.max(np.abs(U.T @ U - np.eye(D)))))
-            recon = max(recon, float(np.max(np.abs(U @ np.diag(lam) @ U.T - C))))
-            order = max(order, float(np.max(np.diff(lam))))
+            try:
+                U = chart_basis(cloud, k, eps, d)
+            except InsufficientNeighborsError:
+                refused += 1
+                n_ball = np.count_nonzero(
+                    np.linalg.norm(cloud.points - cloud.points[k], axis=1) <= eps)
+                wrongly_refused += n_ball > d
+            else:
+                lam = np.diag(U.T @ C @ U)
+                ortho = max(ortho, float(np.max(np.abs(U.T @ U - np.eye(d)))))
+                recon = max(recon, float(np.max(np.abs(C @ U - U * lam))))
+                order = max(order, float(np.max(np.diff(lam), initial=0.0)))
             shift = rng.normal(size=D)
             C2 = local_covariance(PointCloud(cloud.points + shift), k, eps)
             trans = max(trans, float(np.max(np.abs(C2 - C))))
-        ok = ortho <= 1e-10 and recon <= 1e-8 and order <= 0.0 and trans <= 1e-12
+        ok = (ortho <= 1e-10 and recon <= 1e-8 and order <= 0.0
+              and trans <= 1e-12 and wrongly_refused == 0)
         report(
-            f"frame invariants: orthonormality {ortho:.2e}, reconstruction "
-            f"{recon:.2e}, translation {trans:.2e}",
+            f"frame invariants: orthonormality {ortho:.2e}, eigenvector "
+            f"residual {recon:.2e}, translation {trans:.2e}, "
+            f"{100 - refused} charts, {refused} balls of <= d points refused",
             ok,
         )
 

@@ -3,7 +3,7 @@ import pytest
 
 from mrgap.denoiser import DenoiseConfig, denoise, denoise_round
 from mrgap.evaluation import grmse, grmse_analytic, plane
-from mrgap.local_geometry import InsufficientNeighborsError, build_chart_data, project_tangent
+from mrgap.local_geometry import InsufficientNeighborsError, build_charts
 from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
 
 
@@ -53,9 +53,9 @@ class TestDenoiseRound:
         cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
                             max_iter=1, sigma_tol=0.0)
         out, _, _ = denoise_round(noisy, cfg)
+        charts = build_charts(noisy, 0.3, 0.6, 1)
         for k in range(0, 102, 11):
-            chart = build_chart_data(noisy, k, 0.3, 0.6, 1)
-            w_new = project_tangent(chart.frame, out.points[k])
+            w_new = (out.points[k] - noisy.points[k]) @ charts[k].U
             np.testing.assert_allclose(w_new, 0.0, atol=1e-10)
 
     def test_rigid_motion_equivariance(self):
@@ -118,6 +118,24 @@ class TestDenoise:
         for a, b in zip(t1.clouds, t2.clouds):
             np.testing.assert_array_equal(a.points, b.points)
         assert t1.hypers == t2.hypers
+
+    def test_permutation_invariance(self):
+        # Neither the input order nor the k-d tree's candidate order may
+        # leak into the results.
+        clean = gen_cassini(102, seed=7)
+        noisy = add_gaussian_noise(clean, NoiseSpec(0.04, 8))
+        perm = np.random.default_rng(3).permutation(102)
+        cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
+                            max_iter=2, sigma_tol=0.0)
+        a = denoise(noisy, cfg)
+        b = denoise(PointCloud(noisy.points[perm]), cfg)
+        assert a.rounds == b.rounds == 2
+        np.testing.assert_allclose(b.clouds[-1].points,
+                                   a.clouds[-1].points[perm], rtol=0,
+                                   atol=1e-10)
+        for ha, hb in zip(a.hypers, b.hypers):
+            np.testing.assert_allclose([hb.A, hb.rho, hb.sigma],
+                                       [ha.A, ha.rho, ha.sigma], rtol=1e-10)
 
     def test_flat_plane_interpolation_ready_trace(self):
         cloud = flat_plane_cloud()

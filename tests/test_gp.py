@@ -6,26 +6,38 @@ from mrgap.gp import (
     SIGMA_FLOOR,
     FactorizationError,
     GpHyperParams,
+    default_init,
     fit_hyperparams,
     gram,
     joint_log_marginal,
-    kernel,
     log_marginal,
     log_marginal_gradient,
     predictive,
 )
-from mrgap.local_geometry import ChartRegression, eigen_frame
+from mrgap.local_geometry import ChartRegression
+
+from .oracles import dense_log_marginal as dense_log_marginal_oracle
+from .oracles import kernel
 
 HYPER = GpHyperParams(A=1.3, rho=0.7, sigma=0.2)
 
 
-def make_chart(w, z):
-    frame = eigen_frame(np.eye(w.shape[1] + z.shape[1]),
-                        np.zeros(w.shape[1] + z.shape[1]), w.shape[1])
+def make_chart(w, z, Q=None):
+    """A chart with predictors w whose normal coordinates are z, in the
+    orthonormal frame Q (the coordinate axes by default): U = Q[:, :d]
+    and the ambient responses are z Q[:, d:]^T."""
+    d, D = w.shape[1], w.shape[1] + z.shape[1]
+    Q = np.eye(D) if Q is None else Q
     return ChartRegression(
-        frame=frame, predictors=w, responses=z,
+        base=np.zeros(D), U=Q[:, :d], predictors=w, responses=z @ Q[:, d:].T,
         member_indices=np.arange(w.shape[0]),
     )
+
+
+def normal_part(chart):
+    """Normal coordinates of an axis-frame chart's responses: the input
+    log_marginal expects, since it counts q from their width."""
+    return chart.responses[:, chart.U.shape[1]:]
 
 
 def random_instance(rng, N, m, d=2, q=2):
@@ -39,33 +51,13 @@ def conditioning_oracle(w, z, u, hyper):
     """Brute-force joint-Gaussian conditioning on the full (N+m) Gram."""
     N = w.shape[0]
     allp = np.vstack([w, u])
-    full = np.empty((allp.shape[0], allp.shape[0]))
-    for i in range(allp.shape[0]):
-        for j in range(allp.shape[0]):
-            full[i, j] = hyper.A * np.exp(
-                -np.sum((allp[i] - allp[j]) ** 2) / hyper.rho
-            )
+    full = np.array([[kernel(a, b, hyper) for b in allp] for a in allp])
     s1 = full[:N, :N] + hyper.sigma ** 2 * np.eye(N)
     s2 = full[:N, N:]
     s3 = full[N:, :N]
     s4 = full[N:, N:]
     inv = np.linalg.inv(s1)
     return s3 @ inv @ z, s4 - s3 @ inv @ s2
-
-
-def dense_log_marginal_oracle(w, z, hyper):
-    N, q = z.shape
-    K = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            K[i, j] = hyper.A * np.exp(-np.sum((w[i] - w[j]) ** 2) / hyper.rho)
-    K += hyper.sigma ** 2 * np.eye(N)
-    inv = np.linalg.inv(K)
-    return (
-        -np.trace(z.T @ inv @ z)
-        - q * np.log(np.linalg.det(K))
-        - 0.5 * q * N * np.log(2 * np.pi)
-    )
 
 
 class TestKernel:
@@ -236,7 +228,7 @@ class TestJointAndFit:
         charts = self._charts(0, count=1)
         np.testing.assert_allclose(
             joint_log_marginal(charts, HYPER),
-            log_marginal(charts[0].predictors, charts[0].responses, HYPER),
+            log_marginal(charts[0].predictors, normal_part(charts[0]), HYPER),
         )
 
     def test_duplicate_chart_doubles(self):
@@ -249,11 +241,26 @@ class TestJointAndFit:
     def test_sum_over_charts(self):
         charts = self._charts(2)
         total = sum(
-            log_marginal(c.predictors, c.responses, HYPER) for c in charts
+            log_marginal(c.predictors, normal_part(c), HYPER) for c in charts
         )
         np.testing.assert_allclose(
             joint_log_marginal(charts, HYPER), total, rtol=1e-10
         )
+
+    def test_ambient_responses_count_normal_directions(self):
+        # In a rotated frame the responses have D = 4 columns but only
+        # q = 2 normal directions; the likelihood and the default init
+        # must equal those of the normal coordinates.
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        w, z = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        chart = make_chart(w, z, Q)
+        assert chart.codim == 2
+        np.testing.assert_allclose(joint_log_marginal([chart], HYPER),
+                                   dense_log_marginal_oracle(w, z, HYPER),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(default_init([chart]).A, np.mean(z ** 2),
+                                   rtol=1e-12)
 
     def test_fit_improves_objective(self):
         charts = self._charts(3)
@@ -267,7 +274,7 @@ class TestJointAndFit:
         charts = self._charts(4)
         fitted = fit_hyperparams(charts, GpHyperParams(1.0, 1.0, 0.3))
         grad = sum(
-            log_marginal_gradient(c.predictors, c.responses, fitted)
+            log_marginal_gradient(c.predictors, normal_part(c), fitted)
             for c in charts
         )
         assert np.linalg.norm(grad) <= 1e-3
@@ -319,7 +326,7 @@ def hyper_from(theta):
 
 
 def dense_joint(charts, hyper):
-    return sum(dense_log_marginal_oracle(c.predictors, c.responses, hyper)
+    return sum(dense_log_marginal_oracle(c.predictors, normal_part(c), hyper)
                for c in charts if c.predictors.shape[0])
 
 
@@ -352,12 +359,12 @@ class TestStackedKernel:
         rho, s = 0.5, 0.05
         T, qN = 0.0, 0
         for c in charts:
-            N, q = c.responses.shape
+            z = normal_part(c)
+            N, q = z.shape
             if not N:
                 continue
             K0 = gram(c.predictors, GpHyperParams(1.0, rho, 0.0))
-            T += np.trace(c.responses.T @ np.linalg.solve(
-                K0 + s * np.eye(N), c.responses))
+            T += np.trace(z.T @ np.linalg.solve(K0 + s * np.eye(N), z))
             qN += q * N
         a_star = np.log(T / qN)
         h = 1e-5
@@ -378,14 +385,14 @@ class TestStackedKernel:
         dup = make_chart(np.vstack([w, w]), rng.normal(size=(12, 1)))
         other = make_chart(rng.normal(size=(7, 2)), rng.normal(size=(7, 1)))
         hyper = GpHyperParams(A=1.0, rho=0.5, sigma=SIGMA_FLOOR)
-        single = log_marginal(dup.predictors, dup.responses, hyper)
+        single = log_marginal(dup.predictors, normal_part(dup), hyper)
         assert np.isfinite(single)
         assert np.all(np.isfinite(
-            log_marginal_gradient(dup.predictors, dup.responses, hyper)))
+            log_marginal_gradient(dup.predictors, normal_part(dup), hyper)))
         # Only the singular chart gets jitter; its stack-mate keeps none.
         np.testing.assert_allclose(
             joint_log_marginal([dup, other], hyper),
-            single + log_marginal(other.predictors, other.responses, hyper),
+            single + log_marginal(other.predictors, normal_part(other), hyper),
             rtol=1e-12)
         fitted = fit_hyperparams([dup, other], hyper)
         assert fitted.sigma >= SIGMA_FLOOR

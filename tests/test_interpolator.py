@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrgap.denoiser import DenoiseConfig, denoise
+from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
 from mrgap.evaluation import grmse_analytic, plane
 from mrgap.interpolator import (
     DomainBall,
@@ -42,6 +42,30 @@ class TestDomainBall:
     def test_needs_two_predictors(self):
         with pytest.raises(ValueError):
             estimate_domain_ball(np.zeros((1, 2)))
+
+    def test_nonpositive_radius_falls_back_to_half_mean(self):
+        # nine coincident predictors and one far one: distances 1 (x9) and
+        # 9, mean 1.8 below the stddev 2.4
+        w = np.vstack([np.zeros((9, 1)), [[10.0]]])
+        ball = estimate_domain_ball(w)
+        np.testing.assert_allclose(ball.center, [1.0])
+        np.testing.assert_allclose(ball.radius, 0.9, rtol=1e-12)
+
+    def test_coincident_predictors_chart_skipped(self):
+        # Three copies of one point: their charts' predictors coincide, the
+        # ball has radius 0, and interpolate skips those charts.
+        np.testing.assert_array_equal(
+            estimate_domain_ball(np.zeros((3, 2))).radius, 0.0)
+        trace, cfg = flat_plane_trace()
+        cloud = PointCloud(np.vstack([trace.clouds[-2].points,
+                                      np.tile([10.0, 10.0, 0.0], (3, 1))]))
+        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
+                             sigma_history=trace.sigma_history)
+        with pytest.warns(UserWarning, match="degenerate domain"):
+            out, idx = interpolate(trace, cfg, K=2, seed=0,
+                                   return_chart_index=True)
+        assert out.n == 2 * (cloud.n - 3)
+        assert idx.max() == cloud.n - 4
 
 
 class TestSampleBall:
@@ -122,7 +146,6 @@ class TestInterpolate:
 
     def test_rejects_short_trace(self):
         trace, cfg = flat_plane_trace()
-        from mrgap.denoiser import DenoiseTrace
         short = DenoiseTrace(clouds=trace.clouds[:1], hypers=trace.hypers,
                              sigma_history=trace.sigma_history,
                              predictive_variances=trace.predictive_variances)

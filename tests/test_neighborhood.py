@@ -1,69 +1,77 @@
 import numpy as np
 import pytest
 
-from mrgap.neighborhood import dist_to_set, dists_to_set, radius_neighbors
+from mrgap.local_geometry import build_charts
+from mrgap.neighborhood import dists_to_set
 from mrgap.point_cloud import PointCloud
 
-
-def brute_radius(points, center, r, include_self):
-    out = []
-    for i, p in enumerate(points):
-        d = np.linalg.norm(p - center)
-        if d <= r and (include_self or d > 0):
-            out.append(i)
-    return np.asarray(out)
+from .oracles import dist_to_set, radius_neighbors
 
 
 class TestRadiusNeighbors:
-    def test_direct(self):
-        cloud = PointCloud(np.array([[0.0], [1.0], [3.0]]))
-        nl = radius_neighbors(cloud, np.array([0.0]), 1.0)
-        np.testing.assert_array_equal(nl.indices, [0, 1])
+    """Chart membership: build_charts' member_indices is the closed
+    delta-ball, and its epsilon-ball is closed too."""
 
-    def test_exclude_self_empty(self):
-        cloud = PointCloud(np.array([[0.0], [5.0]]))
-        nl = radius_neighbors(cloud, np.array([0.0]), 0.5, include_self=False)
-        assert nl.indices.size == 0
+    def test_direct(self):
+        cloud = PointCloud(np.array(
+            [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0], [3.0, 0.0],
+             [3.5, 0.0]]))
+        charts = build_charts(cloud, 0.6, 1.0, 1)
+        np.testing.assert_array_equal(charts[0].member_indices, [0, 1, 2])
+        np.testing.assert_array_equal(charts[4].member_indices, [4, 5])
+
+    def test_duplicates_are_members(self):
+        cloud = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0],
+                                     [5.0, 0.0]]))
+        charts = build_charts(cloud, 0.5, 1.0, 1)
+        np.testing.assert_array_equal(charts[0].member_indices, [0, 1])
+        np.testing.assert_array_equal(charts[3].member_indices, [2, 3])
 
     def test_closed_ball_boundary(self):
-        cloud = PointCloud(np.array([[1.0, 0.0]]))
-        nl = radius_neighbors(cloud, np.array([0.0, 0.0]), 1.0)
-        np.testing.assert_array_equal(nl.indices, [0])
+        # y_1 lies at exactly epsilon from y_0 and y_2 at exactly delta; the
+        # epsilon-ball of y_0 holds d + 1 points only if y_1 counts.
+        cloud = PointCloud(np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0],
+                                     [0.0, 1.5]]))
+        charts = build_charts(cloud, 0.5, 1.0, 1)
+        np.testing.assert_array_equal(charts[0].member_indices, [0, 1, 2])
+        np.testing.assert_allclose(np.abs(charts[0].U[:, 0]), [1.0, 0.0])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
-        cloud = PointCloud(rng.normal(size=(200, 3)))
-        for _ in range(20):
-            center = rng.normal(size=3)
-            r = rng.uniform(0.1, 2.0)
-            nl = radius_neighbors(cloud, center, r)
-            np.testing.assert_array_equal(
-                nl.indices, brute_radius(cloud.points, center, r, True)
-            )
+        cloud = PointCloud(rng.uniform(size=(200, 3)))
+        for _ in range(5):
+            eps = rng.uniform(0.45, 0.5)
+            delta = rng.uniform(eps, 0.8)
+            for k, chart in enumerate(build_charts(cloud, eps, delta, 2)):
+                np.testing.assert_array_equal(
+                    chart.member_indices,
+                    radius_neighbors(cloud.points, cloud.points[k], delta),
+                )
 
     def test_dimension_mismatch(self):
         cloud = PointCloud(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            radius_neighbors(cloud, np.zeros(3), 1.0)
+            build_charts(cloud, 1.0, 2.0, 0)
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(1)
         cloud = PointCloud(rng.normal(size=(50, 2)))
-        center = np.zeros(2)
-        prev = set()
-        for r in [0.2, 0.5, 1.0, 2.0]:
-            cur = set(radius_neighbors(cloud, center, r).indices.tolist())
-            assert prev <= cur
+        prev = [set() for _ in range(50)]
+        for delta in [2.5, 3.0, 4.0, 6.0]:
+            charts = build_charts(cloud, 2.0, delta, 1)
+            cur = [set(c.member_indices.tolist()) for c in charts]
+            assert all(p <= c for p, c in zip(prev, cur))
             prev = cur
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(40, 2))
         perm = rng.permutation(40)
-        center = np.zeros(2)
-        a = radius_neighbors(PointCloud(pts), center, 1.0).indices
-        b = radius_neighbors(PointCloud(pts[perm]), center, 1.0).indices
-        assert sorted(perm[b].tolist()) == a.tolist()
+        a = build_charts(PointCloud(pts), 2.0, 2.5, 1)
+        b = build_charts(PointCloud(pts[perm]), 2.0, 2.5, 1)
+        for j, k in enumerate(perm):
+            assert sorted(perm[b[j].member_indices].tolist()) == \
+                a[k].member_indices.tolist()
 
 
 class TestDistToSet:
