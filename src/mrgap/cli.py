@@ -29,7 +29,7 @@ from .point_cloud import (
     load_csv,
     save_csv,
 )
-from .spectral_dim import estimate_dimension
+from .spectral_dim import DimensionEstimateError, estimate_dimension
 
 TRACE_SCHEMA = 1
 
@@ -188,7 +188,10 @@ def cmd_estimate_dim(args) -> int:
         if args.embed_dims else None
     eps_grid = [float(x) for x in args.eps_grid.split(",")] \
         if args.eps_grid else None
-    profile = estimate_dimension(cloud, args.eps_dm, embed_dims, eps_grid)
+    try:
+        profile = estimate_dimension(cloud, args.eps_dm, embed_dims, eps_grid)
+    except DimensionEstimateError as exc:
+        raise CliError(str(exc), code=3) from exc
     print(profile.estimated_dim)
     if args.profile_out:
         width = max(len(lam) for lam in profile.lambda_bars)

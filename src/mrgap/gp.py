@@ -103,12 +103,17 @@ class PredictiveGaussian:
 
 def gram(points: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    sq = cdist(points, points, "sqeuclidean")
-    return hyper.A * np.exp(-sq / hyper.rho)
+    return _cross_gram(points, points, hyper)
 
 
 def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
-    return hyper.A * np.exp(-cdist(a, b, "sqeuclidean") / hyper.rho)
+    """A exp(-||a_i - b_j||^2 / rho), built in place in one buffer."""
+    K = cdist(a, b, "sqeuclidean")
+    np.negative(K, out=K)
+    K /= hyper.rho
+    np.exp(K, out=K)
+    K *= hyper.A
+    return K
 
 
 def _diagonal(M: np.ndarray) -> np.ndarray:
@@ -187,18 +192,25 @@ def _lower_inverse(L: np.ndarray, b: int = _BUCKET) -> np.ndarray:
     return X
 
 
-def _factor(K: np.ndarray, scale: float) -> np.ndarray:
-    """Lower Cholesky factor of one matrix, with the jitter escalation of
-    _cholesky_stack.
+def _factor(build, scale: float) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix build() returns, with
+    the jitter escalation of _cholesky_stack.
 
-    SciPy's, like the solves that follow it: NumPy and SciPy each bring
-    their own threaded BLAS, and alternating between the two made each
-    call several times slower on two cores.
+    Each attempt factors a new matrix from build() in place, since a failed
+    attempt leaves its buffer partly overwritten.  SciPy's, like the solves
+    that follow it: NumPy and SciPy each bring their own threaded BLAS, and
+    alternating between the two made each call several times slower on two
+    cores.
     """
-    eye = np.eye(K.shape[0])
     for jitter in scale * _JITTERS:
+        K = build()
+        if jitter:
+            K[np.diag_indices_from(K)] += jitter
         try:
-            return cholesky(K + jitter * eye, lower=True)
+            # K is symmetric: K.T is K in the column-major order LAPACK
+            # factors in place.
+            return cholesky(K.T, lower=True, overwrite_a=True,
+                            check_finite=False)
         except np.linalg.LinAlgError:
             pass
     raise FactorizationError(
@@ -225,9 +237,13 @@ def predictive(
         )
     if train_w.shape[0] != train_z.shape[0]:
         raise ValueError("training inputs and responses disagree in count")
-    s1 = gram(train_w, hyper)
-    s1[np.diag_indices_from(s1)] += hyper.sigma ** 2
-    L = _factor(s1, hyper.A)
+
+    def train_cov():
+        K = gram(train_w, hyper)
+        K[np.diag_indices_from(K)] += hyper.sigma ** 2
+        return K
+
+    L = _factor(train_cov, hyper.A)
     s3 = _cross_gram(test_u, train_w, hyper)
     # One triangular solve serves both: s3 K^-1 [z, s3^T] = V^T [a, V].
     Va = solve_triangular(L, np.hstack([s3.T, train_z]), lower=True)

@@ -1,4 +1,4 @@
-"""Local covariance matrices and the per-point chart regressions.
+"""The per-point chart regressions.
 
 The chart at a sample point y_k turns the global reconstruction problem
 into a regression: the tangent coordinates of the displacements y_j - y_k
@@ -22,7 +22,6 @@ from .point_cloud import PointCloud
 __all__ = [
     "ChartRegression",
     "InsufficientNeighborsError",
-    "local_covariance",
     "build_charts",
 ]
 
@@ -54,36 +53,19 @@ class ChartRegression:
         return self.U.shape[0] - self.U.shape[1]
 
 
-def local_covariance(cloud: PointCloud, k: int, epsilon: float) -> np.ndarray:
-    """Second-moment matrix of displacements within the epsilon-ball at y_k.
-
-    (1/n) sum_i (y_i - y_k)(y_i - y_k)^T over points with
-    ||y_i - y_k|| <= epsilon.  The divisor is the full sample size n, not
-    the ball occupancy; eigenvectors are unaffected but eigenvalue scales
-    feed the dimension estimator.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    pts = cloud.points
-    diff = pts - pts[k]
-    mask = np.linalg.norm(diff, axis=1) <= epsilon
-    sel = diff[mask]
-    return (sel.T @ sel) / cloud.n
-
-
 def build_charts(
     cloud: PointCloud, epsilon: float, delta: float, d: int
 ) -> list[ChartRegression]:
     """The chart regression at every point of the cloud, in index order.
 
     U holds the top d right singular vectors of the epsilon-ball
-    displacements, which are the top d eigenvectors of local_covariance;
-    each is oriented so its largest-magnitude entry is positive, which
-    makes runs deterministic.  Predictors and responses come from all
-    delta-neighbors (y_k itself contributes a zero row).  Both balls are
-    closed.  One k-d tree query finds the candidates of both, which are
-    then tested by the exact distance.  Fails loudly if an epsilon-ball
-    holds d or fewer points.
+    displacements, which are the top d eigenvectors of their second-moment
+    matrix (the local covariance at y_k); each is oriented so its
+    largest-magnitude entry is positive, which makes runs deterministic.
+    Predictors and responses come from all delta-neighbors (y_k itself
+    contributes a zero row).  Both balls are closed.  One k-d tree query
+    finds the candidates of both, which are then tested by the exact
+    distance.  Fails loudly if an epsilon-ball holds d or fewer points.
     """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("epsilon and delta must be positive")

@@ -1,4 +1,4 @@
-"""Diffusion-map Laplacian and intrinsic-dimension estimation.
+"""Diffusion-map embedding and intrinsic-dimension estimation.
 
 Noise inflates every eigenvalue of the raw local covariance matrices, so
 the dimension is read off a diffusion-map re-embedding instead: embed the
@@ -11,19 +11,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .local_geometry import local_covariance
 from .point_cloud import PointCloud
 
 __all__ = [
     "DiffusionSpectrum",
     "DimensionProfile",
-    "graph_laplacian",
+    "DimensionEstimateError",
     "diffusion_embedding",
     "mean_local_eigenvalues",
     "estimate_dimension",
 ]
+
+# Bound on the entries of the arrays mean_local_eigenvalues builds for one
+# block of points (16 MB of float64).
+_BLOCK_ENTRIES = 2 ** 21
+
+
+class DimensionEstimateError(RuntimeError):
+    """The dimension estimate has no answer: the eigensolver did not
+    converge, or no embedding dimension had a nonzero local spectrum to
+    vote with."""
 
 
 @dataclass(frozen=True)
@@ -45,85 +56,109 @@ class DimensionProfile:
     estimated_dim: int
 
 
-def graph_laplacian(cloud: PointCloud, eps_dm: float) -> np.ndarray:
-    """Density-normalized graph Laplacian L = (D^-1 W - I) / eps_dm^2.
+def diffusion_embedding(
+    cloud: PointCloud, eps_dm: float, ell: int
+) -> DiffusionSpectrum:
+    """First ell + 1 eigenpairs of -L in ascending order, L the
+    density-normalized graph Laplacian (D^-1 W - I) / eps_dm^2.
 
-    W is the Gaussian kernel matrix with each entry divided by the
-    product of its row and column kernel degrees (density correction).
+    W is the Gaussian kernel matrix with each entry divided by the product
+    of its row and column kernel degrees, and D holds the row sums of W.
+    D^-1 W is conjugate to S = D^-1/2 W D^-1/2, which is built in place in
+    one n x n buffer; its leading eigenpairs (nu, phi) come from Lanczos
+    iteration, and -L has eigenvalues (1 - nu) / eps_dm^2 and eigenvectors
+    D^-1/2 phi, l2-normalized.  Signs are fixed so each vector's
+    largest-magnitude entry is positive.
     """
-    if cloud.n < 2:
+    n = cloud.n
+    if n < 2:
         raise ValueError("need at least 2 points")
     if eps_dm <= 0:
         raise ValueError("eps_dm must be positive")
-    sq = cdist(cloud.points, cloud.points, "sqeuclidean")
-    k = np.exp(-sq / eps_dm ** 2)
-    q = k.sum(axis=1)
-    W = k / np.outer(q, q)
-    deg = W.sum(axis=1)
-    return ((W / deg[:, None]) - np.eye(cloud.n)) / eps_dm ** 2
-
-
-def diffusion_embedding(L: np.ndarray, ell: int) -> DiffusionSpectrum:
-    """First ell + 1 eigenpairs of -L in ascending order.
-
-    -L is conjugate to a symmetric matrix through the degree scaling, so
-    a symmetric eigensolver is used and the eigenvectors transformed back
-    and l2-normalized.  Signs are fixed so each vector's largest-magnitude
-    entry is positive.
-    """
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
     if not 0 <= ell < n:
         raise ValueError("ell must satisfy 0 <= ell < n")
-    # Shift L to a row-stochastic-like matrix M = c*L + I.  The exact
-    # kernel bandwidth is irrelevant here: eigenvectors are unchanged and
-    # the eigenvalues of -L are recovered as (1 - nu)/c.
-    c = -1.0 / np.min(np.diag(L))
-    M = c * L + np.eye(n)
-    # M is conjugate to a symmetric matrix via the degree scaling.  The
-    # degrees are recoverable from detailed balance: M_ij / M_ji =
-    # deg_j / deg_i, with strictly positive entries for a Gaussian kernel.
-    off = M - np.diag(np.diag(M))
-    if np.min(off + np.eye(n)) <= 0.0:
-        raise ValueError("Laplacian off-diagonal entries must be positive")
-    deg = np.ones(n)
-    deg[1:] = M[0, 1:] / M[1:, 0]
-    s = np.sqrt(deg)
-    S = (M * s[:, None]) / s[None, :]
-    S = 0.5 * (S + S.T)
-    nu, phi = np.linalg.eigh(S)
-    # largest nu first => smallest mu of -L first
-    order = np.argsort(nu)[::-1][: ell + 1]
-    nu = nu[order]
-    V = phi[:, order] / s[:, None]
+    S = cdist(cloud.points, cloud.points, "sqeuclidean")
+    np.negative(S, out=S)
+    S /= eps_dm ** 2
+    np.exp(S, out=S)
+    q = S.sum(axis=1)
+    S /= q[:, None]
+    S /= q[None, :]
+    s = 1.0 / np.sqrt(S.sum(axis=1))
+    S *= s[:, None]
+    S *= s[None, :]
+    k = ell + 1
+    if k < n:
+        try:
+            nu, phi = eigsh(S, k=k, which="LA", tol=0, v0=np.ones(n))
+        except ArpackNoConvergence as exc:
+            raise DimensionEstimateError(
+                f"Lanczos iteration for {k} diffusion eigenpairs of {n} "
+                f"points did not converge"
+            ) from exc
+    else:
+        # ARPACK finds at most n - 1 pairs; all n come from the dense solver.
+        nu, phi = np.linalg.eigh(S)
+    order = np.argsort(nu)[::-1][:k]
+    V = phi[:, order] * s[:, None]
     V /= np.linalg.norm(V, axis=0, keepdims=True)
-    flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
+    flip = V[np.argmax(np.abs(V), axis=0), np.arange(k)] < 0
     V = np.where(flip, -V, V)
-    mu = (1.0 - nu) / c
+    mu = (1.0 - nu[order]) / eps_dm ** 2
     return DiffusionSpectrum(eigenvalues=mu, eigenvectors=V)
 
 
 def mean_local_eigenvalues(cloud: PointCloud, epsilon: float) -> np.ndarray:
-    """Descending local-covariance eigenvalues averaged over all points."""
+    """Descending local-covariance eigenvalues averaged over all points.
+
+    The local covariance at y_k is (1/n) sum (y_i - y_k)(y_i - y_k)^T over
+    the closed epsilon-ball, with the full sample size n as divisor.  A k-d
+    tree finds the candidates of a block of points at a time, which keeps
+    memory bounded when the balls cover the whole cloud; each candidate is
+    then tested by the exact distance.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    acc = np.zeros(cloud.ambient_dim)
-    for k in range(cloud.n):
-        C = local_covariance(cloud, k, epsilon)
-        acc += np.clip(np.linalg.eigvalsh(C)[::-1], 0.0, None)
-    return acc / cloud.n
+    pts = cloud.points
+    n, D = pts.shape
+    tree = cKDTree(pts)
+    # The slack keeps every point the exact test accepts, whatever rounding
+    # the tree's own distances have.
+    radius = epsilon * (1.0 + 1e-9)
+    acc = np.zeros(D)
+    # A ball holds at most n points, so a block's arrays of displacements
+    # hold at most _BLOCK_ENTRIES entries.
+    size = max(1, _BLOCK_ENTRIES // (n * D))
+    for start in range(0, n, size):
+        block = np.arange(start, min(start + size, n))
+        cand = tree.query_ball_point(pts[block], radius)
+        rows = np.repeat(np.arange(len(block)), [len(c) for c in cand])
+        diff = pts[np.concatenate(cand)] - pts[block[rows]]
+        keep = np.linalg.norm(diff, axis=1) <= epsilon
+        rows, diff = rows[keep], diff[keep]
+        # The ball members of each point, zero-padded to one stack.
+        counts = np.bincount(rows, minlength=len(block))
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        X = np.zeros((len(block), counts.max(), D))
+        X[rows, slot] = diff
+        C = np.matmul(X.transpose(0, 2, 1), X) / n
+        acc += np.clip(np.linalg.eigvalsh(C)[:, ::-1], 0.0, None).sum(axis=0)
+    return acc / n
 
 
 GAP_DAMPING = 0.05
 
 
-def _gap_index(lam: np.ndarray) -> int:
+def _gap_index(lam: np.ndarray) -> int | None:
     """1-based index of the largest damped ratio
-    lambda_i / (lambda_{i+1} + eta * lambda_1).
+    lambda_i / (lambda_{i+1} + eta * lambda_1), or None when the spectrum
+    is all zero and has no gap.
 
     The damping term keeps ratios between two already-negligible tail
     eigenvalues from outscoring the drop after the last large one.
     """
+    if not lam[0] > 0.0:
+        return None
     ratios = lam[:-1] / (lam[1:] + GAP_DAMPING * lam[0])
     return int(np.argmax(ratios)) + 1
 
@@ -140,8 +175,12 @@ def estimate_dimension(
     the eigenvectors V_1..V_m (scaled by sqrt(n) so coordinates match the
     empirical-measure normalization of the eigenfunctions), the mean
     local-covariance spectrum is computed at the matching bandwidth, and
-    each spectrum votes for its largest-gap index.  The default bandwidth
-    for embedding dimension m is 0.3 + 0.1 * (m - 2).
+    each spectrum votes for its largest-gap index.  An all-zero spectrum,
+    from balls that hold only their own point, casts no vote.  The default
+    bandwidth for embedding dimension m is 0.3 + 0.1 * (m - 2).
+
+    Raises DimensionEstimateError when no spectrum votes or the eigensolver
+    does not converge.
     """
     if embed_dims is None:
         embed_dims = [3, 4, 5, 6]
@@ -149,9 +188,7 @@ def estimate_dimension(
         raise ValueError("embed_dims is empty")
     if eps_grid is not None and not eps_grid:
         raise ValueError("eps_grid is empty")
-    max_m = max(embed_dims)
-    L = graph_laplacian(cloud, eps_dm)
-    spec = diffusion_embedding(L, max_m)
+    spec = diffusion_embedding(cloud, eps_dm, max(embed_dims))
     scale = np.sqrt(cloud.n)
 
     epsilons: list[float] = []
@@ -165,7 +202,14 @@ def estimate_dimension(
             lam = mean_local_eigenvalues(embedded, eps)
             epsilons.append(float(eps))
             lambda_bars.append(lam)
-            votes.append(_gap_index(lam))
+            vote = _gap_index(lam)
+            if vote is not None:
+                votes.append(vote)
+    if not votes:
+        raise DimensionEstimateError(
+            "every averaged local spectrum is zero: no epsilon-ball of the "
+            "embedded cloud holds a second point"
+        )
     counts = np.bincount(votes)
     d_hat = int(np.argmax(counts))
     return DimensionProfile(

@@ -12,11 +12,7 @@ from mrgap.denoiser import DenoiseConfig, denoise
 from mrgap.evaluation import circle, grmse, sandwich_gap_check
 from mrgap.gp import GpHyperParams, log_marginal, log_marginal_gradient, predictive
 from mrgap.interpolator import interpolate
-from mrgap.local_geometry import (
-    InsufficientNeighborsError,
-    build_charts,
-    local_covariance,
-)
+from mrgap.local_geometry import InsufficientNeighborsError, build_charts
 from mrgap.point_cloud import (
     NoiseSpec,
     PointCloud,
@@ -25,9 +21,9 @@ from mrgap.point_cloud import (
     gen_ellipsoid_embedded,
     gen_torus,
 )
-from mrgap.spectral_dim import diffusion_embedding, estimate_dimension, graph_laplacian
+from mrgap.spectral_dim import diffusion_embedding, estimate_dimension
 
-from .oracles import dense_log_marginal
+from .oracles import dense_log_marginal, local_covariance
 
 
 def report(name, ok):
@@ -279,8 +275,7 @@ class TestDimensionEstimation:
         theta = np.random.default_rng(6).uniform(0, 2 * np.pi, 400)
         ring = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]))
         circle_dim = estimate_dimension(ring, eps_dm=0.5).estimated_dim
-        L = graph_laplacian(ring, 0.5)
-        spec = diffusion_embedding(L, 3)
+        spec = diffusion_embedding(ring, 0.5, 3)
         mu0 = abs(float(spec.eigenvalues[0]))
         v0 = spec.eigenvectors[:, 0]
         const_dev = float(np.max(np.abs(v0 - v0[0])))

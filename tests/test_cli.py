@@ -3,7 +3,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from mrgap import spectral_dim
 from mrgap.cli import main
 from mrgap.point_cloud import load_csv
 
@@ -163,6 +165,30 @@ class TestEstimateDim:
                     "--embed-dims", "3,4", "--profile-out", prof]) == 0
         rows = np.loadtxt(prof, delimiter=",")
         assert rows.shape[0] == 2
+
+
+    def test_no_vote_is_numerical_error(self, tmp_path, capsys):
+        # 7 points: no epsilon-ball of a 5- or 6-dimensional embedding
+        # holds a second point, so no spectrum votes
+        path = tmp_path / "seven.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(7, 3)),
+                   delimiter=",")
+        assert run(["estimate-dim", "--in", path, "--eps-dm", 1.0,
+                    "--embed-dims", "5,6"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_numerical_error(self, tmp_path,
+                                                    monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral_dim, "eigsh", no_convergence)
+        theta = np.random.default_rng(0).uniform(0, 2 * np.pi, 100)
+        path = tmp_path / "ring.csv"
+        np.savetxt(path, np.column_stack([np.cos(theta), np.sin(theta)]),
+                   delimiter=",")
+        assert run(["estimate-dim", "--in", path, "--eps-dm", 0.5]) == 3
 
 
 class TestUsage:

@@ -119,6 +119,19 @@ class TestPredictive:
         np.testing.assert_allclose(post.mean, mean, atol=1e-8)
         np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
 
+    def test_inputs_unmodified(self):
+        # also with duplicate predictors at sigma 0, where the Gram is
+        # factored again with jitter
+        rng = np.random.default_rng(7)
+        w, z, u = random_instance(rng, 6, 3)
+        w[1] = w[0]
+        for hyper in (HYPER, GpHyperParams(A=1.3, rho=0.7, sigma=0.0)):
+            copies = [w.copy(), z.copy(), u.copy()]
+            post = predictive(w, z, u, hyper)
+            assert np.all(np.isfinite(post.mean))
+            for before, after in zip(copies, (w, z, u)):
+                np.testing.assert_array_equal(after, before)
+
     def test_variance_bounded_by_prior(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -409,6 +422,31 @@ class TestStackedKernel:
         np.testing.assert_allclose(L[1] @ L[1].T, singular, atol=1e-6)
         with pytest.raises(FactorizationError):
             gp._cholesky_stack(np.stack([pd, indefinite]), real)
+
+    def test_single_factor_escalates_jitter_on_a_fresh_matrix(self):
+        # a failed attempt overwrites its matrix, so every attempt builds
+        # a new one
+        built = []
+
+        def build():
+            built.append(np.ones((2, 2)))
+            return built[-1]
+
+        L = gp._factor(build, 1.0)
+        assert len(built) == 2
+        np.testing.assert_allclose(L @ L.T, np.ones((2, 2)) + 1e-12 * np.eye(2),
+                                   rtol=0, atol=1e-15)
+
+    def test_single_factor_raises_on_indefinite(self):
+        built = []
+
+        def build():
+            built.append(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            return built[-1]
+
+        with pytest.raises(FactorizationError):
+            gp._factor(build, 1.0)
+        assert len(built) == len(gp._JITTERS)
 
     def test_fit_is_no_worse_than_any_start(self, monkeypatch):
         results = []

@@ -9,11 +9,13 @@ from mrgap.point_cloud import (
     gen_ellipsoid_embedded,
 )
 from mrgap.spectral_dim import (
+    DimensionEstimateError,
     diffusion_embedding,
     estimate_dimension,
-    graph_laplacian,
     mean_local_eigenvalues,
 )
+
+from . import oracles
 
 
 def noisy_ring(n=300, sigma=0.02, seed=0):
@@ -25,7 +27,7 @@ def noisy_ring(n=300, sigma=0.02, seed=0):
 class TestGraphLaplacian:
     def test_rows_sum_to_zero(self):
         cloud = noisy_ring(100)
-        L = graph_laplacian(cloud, 0.5)
+        L = oracles.graph_laplacian(cloud, 0.5)
         np.testing.assert_allclose(L @ np.ones(100), 0.0, atol=1e-12)
 
     def test_two_point_oracle(self):
@@ -38,66 +40,87 @@ class TestGraphLaplacian:
         W = k / np.outer(q, q)
         deg = W.sum(axis=1)
         expected = (W / deg[:, None] - np.eye(2)) / eps ** 2
-        np.testing.assert_allclose(graph_laplacian(cloud, eps), expected,
-                                   atol=1e-14)
+        np.testing.assert_allclose(oracles.graph_laplacian(cloud, eps),
+                                   expected, atol=1e-14)
+        spec = diffusion_embedding(cloud, eps, 1)
+        np.testing.assert_allclose(spec.eigenvalues,
+                                   np.linalg.eigvalsh(-expected), atol=1e-14)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            graph_laplacian(PointCloud(np.zeros((1, 2))), 1.0)
+            diffusion_embedding(PointCloud(np.zeros((1, 2))), 1.0, 0)
         with pytest.raises(ValueError):
-            graph_laplacian(PointCloud(np.zeros((3, 2))), 0.0)
+            diffusion_embedding(PointCloud(np.zeros((3, 2))), 0.0, 1)
 
 
 class TestDiffusionEmbedding:
     def test_first_pair_is_constant_zero(self):
         cloud = noisy_ring(120, seed=2)
-        L = graph_laplacian(cloud, 0.5)
-        spec = diffusion_embedding(L, 4)
+        spec = diffusion_embedding(cloud, 0.5, 4)
         assert abs(spec.eigenvalues[0]) <= 1e-8
         v0 = spec.eigenvectors[:, 0]
         np.testing.assert_allclose(v0, v0[0], atol=1e-8)
 
     def test_eigenvalues_ascending_nonnegative(self):
         cloud = noisy_ring(120, seed=3)
-        L = graph_laplacian(cloud, 0.5)
-        spec = diffusion_embedding(L, 6)
+        spec = diffusion_embedding(cloud, 0.5, 6)
         mu = spec.eigenvalues
         assert np.all(np.diff(mu) >= -1e-10)
         assert np.all(mu >= -1e-8)
 
     def test_eigenpairs_satisfy_definition(self):
         cloud = noisy_ring(80, seed=4)
-        L = graph_laplacian(cloud, 0.6)
-        spec = diffusion_embedding(L, 5)
+        L = oracles.graph_laplacian(cloud, 0.6)
+        spec = diffusion_embedding(cloud, 0.6, 5)
         for mu, v in zip(spec.eigenvalues, spec.eigenvectors.T):
             np.testing.assert_allclose(-L @ v, mu * v, atol=1e-8)
             np.testing.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
 
     def test_deterministic_signs(self):
         cloud = noisy_ring(80, seed=5)
-        L = graph_laplacian(cloud, 0.6)
-        a = diffusion_embedding(L, 3)
-        b = diffusion_embedding(L.copy(), 3)
+        a = diffusion_embedding(cloud, 0.6, 3)
+        b = diffusion_embedding(PointCloud(cloud.points.copy()), 0.6, 3)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_rejects_bad_ell(self):
-        L = graph_laplacian(noisy_ring(20), 0.6)
         with pytest.raises(ValueError):
-            diffusion_embedding(L, 20)
+            diffusion_embedding(noisy_ring(20), 0.6, 20)
+
+    @pytest.mark.parametrize("case", ["ring", "ellipsoid", "seven_points"])
+    def test_matches_dense_oracle(self, case):
+        # Lanczos pairs against the full eigendecomposition of the
+        # detailed-balance symmetrization; seven points ask for all 7 pairs,
+        # more than Lanczos iteration delivers
+        if case == "ring":
+            cloud, eps = noisy_ring(120, seed=2), 0.5
+        elif case == "ellipsoid":
+            clean = gen_ellipsoid_embedded(800, 30, 0)
+            cloud, eps = add_gaussian_noise(clean, NoiseSpec(0.05, 100)), 2.0
+        else:
+            cloud = PointCloud(np.random.default_rng(0).normal(size=(7, 3)))
+            eps = 1.0
+        spec = diffusion_embedding(cloud, eps, 6)
+        mu, V = oracles.diffusion_embedding(
+            oracles.graph_laplacian(cloud, eps), 6)
+        np.testing.assert_allclose(spec.eigenvalues, mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.eigenvectors, V, rtol=0, atol=1e-10)
 
 
 class TestMeanLocalEigenvalues:
     def test_recomputation_oracle(self):
-        from mrgap.local_geometry import local_covariance
-
         cloud = noisy_ring(60, seed=6)
-        eps = 0.4
-        lam = mean_local_eigenvalues(cloud, eps)
-        acc = np.zeros(2)
-        for k in range(60):
-            ev = np.linalg.eigvalsh(local_covariance(cloud, k, eps))[::-1]
-            acc += np.clip(ev, 0.0, None)
-        np.testing.assert_allclose(lam, acc / 60, atol=1e-12)
+        np.testing.assert_allclose(mean_local_eigenvalues(cloud, 0.4),
+                                   oracles.mean_local_eigenvalues(cloud, 0.4),
+                                   atol=1e-12)
+
+    def test_balls_covering_most_of_the_cloud(self):
+        # the raw ellipsoid in R^30: at epsilon 2 most balls hold most of
+        # the 800 points, and the points are gathered in several blocks
+        clean = gen_ellipsoid_embedded(800, 30, 0)
+        noisy = add_gaussian_noise(clean, NoiseSpec(0.05, 100))
+        lam = mean_local_eigenvalues(noisy, 2.0)
+        np.testing.assert_allclose(
+            lam, oracles.mean_local_eigenvalues(noisy, 2.0), atol=1e-12)
 
     def test_flat_plane_trailing_eigenvalue_vanishes(self):
         rng = np.random.default_rng(7)
@@ -164,3 +187,38 @@ class TestEstimateDimension:
         profile = estimate_dimension(noisy, eps_dm=2.0, embed_dims=[4])
         emb = profile.lambda_bars[0]
         assert emb[2] / emb[0] < raw[2] / raw[0]
+
+    def test_two_separated_rings_are_one(self):
+        # unit rings 10 apart at their nearest points: kernel entries
+        # between the farthest points underflow to 0, where recovering the
+        # degrees from ratios of kernel entries failed
+        theta = np.random.default_rng(13).uniform(0, 2 * np.pi, 200)
+        ring = np.column_stack([np.cos(theta), np.sin(theta)])
+        cloud = PointCloud(np.vstack([ring, ring + [12.0, 0.0]]))
+        assert estimate_dimension(cloud, eps_dm=0.5).estimated_dim == 1
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    def test_scale_equivariance(self, c):
+        cloud = noisy_ring(150, seed=14)
+        a = estimate_dimension(cloud, 0.5)
+        b = estimate_dimension(PointCloud(c * cloud.points), c * 0.5)
+        assert a.estimated_dim == b.estimated_dim
+        # relative to the whole spectrum: trailing eigenvalues are rounding
+        # noise of the leading one
+        for la, lb in zip(a.lambda_bars, b.lambda_bars):
+            assert np.linalg.norm(lb - la) <= 1e-10 * np.linalg.norm(la)
+
+    def test_zero_spectrum_casts_no_vote(self):
+        # 7 points: no epsilon-ball of the 5- and 6-dimensional embeddings
+        # holds a second point, and their all-zero spectra have no gap
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(7, 3)))
+        profile = estimate_dimension(cloud, eps_dm=1.0)
+        assert not np.any(profile.lambda_bars[2])
+        assert not np.any(profile.lambda_bars[3])
+        alone = estimate_dimension(cloud, eps_dm=1.0, embed_dims=[3, 4])
+        assert profile.estimated_dim == alone.estimated_dim
+
+    def test_no_vote_is_an_error(self):
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(7, 3)))
+        with pytest.raises(DimensionEstimateError):
+            estimate_dimension(cloud, eps_dm=1.0, embed_dims=[5, 6])
