@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dgemm
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -245,11 +246,15 @@ def predictive(
 
     L = _factor(train_cov, hyper.A)
     s3 = _cross_gram(test_u, train_w, hyper)
-    # One triangular solve serves both: s3 K^-1 [z, s3^T] = V^T [a, V].
-    Va = solve_triangular(L, np.hstack([s3.T, train_z]), lower=True)
-    V, a = Va[:, :m], Va[:, m:]
-    mean = V.T @ a
-    cov = s4 - V.T @ V
+    # The solves take the m columns of s3^T, never the q of the responses,
+    # which may be hundreds: mean = W^T z with W = K^-1 s3^T, and
+    # cov = s4 - V^T V with V = L^-1 s3^T.  Both products use SciPy's BLAS,
+    # as _factor does, for the reason given there; train_z.T and the
+    # solves' results are Fortran-ordered, so dgemm copies neither.
+    V = solve_triangular(L, s3.T, lower=True, check_finite=False)
+    W = solve_triangular(L, V, lower=True, trans="T", check_finite=False)
+    mean = dgemm(1.0, train_z.T, W).T
+    cov = dgemm(-1.0, V, V, beta=1.0, c=s4, trans_a=True)
     cov = 0.5 * (cov + cov.T)
     d = np.diag(cov).copy()
     np.fill_diagonal(cov, np.clip(d, 0.0, None))

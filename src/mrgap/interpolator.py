@@ -90,9 +90,13 @@ def interpolate(
     chart_seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
 
     chart_of: list[int] = []
-    # Interpolated points so far are accumulated[:filled].
+    # Interpolated points so far are accumulated[:filled].  Chart j's K
+    # points are the rows from first[j], all within reach[j] of y_j; a
+    # skipped chart reaches nowhere.
     accumulated = np.empty((cloud.n * K, cloud.ambient_dim))
     filled = 0
+    first = np.zeros(cloud.n, dtype=np.intp)
+    reach = np.full(cloud.n, -np.inf)
     charts = build_charts(cloud, config.epsilon, config.delta, d)
     for k, chart in enumerate(charts):
         ball = estimate_domain_ball(chart.predictors)
@@ -102,7 +106,16 @@ def interpolate(
         test_u = sample_ball_uniform(ball, K, d, int(chart_seeds[k]))
 
         # Gluing points: earlier interpolated points within delta of y_k.
-        rel = accumulated[:filled] - chart.base
+        # By the triangle inequality only charts j with
+        # ||y_j - y_k|| <= delta + reach[j] can hold one; the slack keeps
+        # every chart whose points the exact test below may accept, whatever
+        # the rounding of these distances.  Their rows, in ascending order,
+        # are then the same rows a scan of all earlier points would keep.
+        base_dist = np.linalg.norm(cloud.points[:k] - chart.base, axis=1)
+        near = np.flatnonzero(
+            base_dist <= (config.delta + reach[:k]) * (1.0 + 1e-9))
+        rows = (first[near, None] + np.arange(K)).ravel()
+        rel = accumulated[rows] - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
         w_glue = rel @ chart.U
         train_w = np.vstack([chart.predictors, w_glue])
@@ -112,8 +125,10 @@ def interpolate(
         except gp.FactorizationError as exc:
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
         chart_of.extend([k] * K)
-        accumulated[filled:filled + K] = (
-            chart.base + test_u @ chart.U.T + post.mean)
+        new = chart.base + test_u @ chart.U.T + post.mean
+        accumulated[filled:filled + K] = new
+        first[k] = filled
+        reach[k] = np.max(np.linalg.norm(new - chart.base, axis=1))
         filled += K
 
     out = PointCloud(accumulated[:filled])

@@ -7,6 +7,10 @@ profiling or factorization shortcut, so it can be checked by eye.
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from mrgap import gp
+from mrgap.interpolator import estimate_domain_ball, sample_ball_uniform
+from mrgap.local_geometry import build_charts
+
 
 def radius_neighbors(points, center, r):
     """Indices i with ||points[i] - center|| <= r (closed ball), ascending."""
@@ -144,3 +148,35 @@ def dense_log_marginal(w, z, hyper):
         - q * np.log(np.linalg.det(K))
         - 0.5 * q * N * np.log(2 * np.pi)
     )
+
+
+def interpolate_full_scan(trace, config, K, seed=0):
+    """mrgap's interpolate with the glue rows of each chart found by
+    scanning every point produced so far; returns (points, chart index).
+
+    The charts, samples and posterior means come from mrgap itself, so the
+    result must equal interpolate's bitwise.
+    """
+    cloud = trace.clouds[-2]
+    hyper = trace.hypers[-1]
+    d = config.intrinsic_dim
+    seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
+    accumulated = np.empty((0, cloud.ambient_dim))
+    chart_of = []
+    charts = build_charts(cloud, config.epsilon, config.delta, d)
+    for k, chart in enumerate(charts):
+        ball = estimate_domain_ball(chart.predictors)
+        if ball.radius == 0.0:
+            continue
+        test_u = sample_ball_uniform(ball, K, d, int(seeds[k]))
+        rel = accumulated - chart.base
+        rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
+        w_glue = rel @ chart.U
+        post = gp.predictive(
+            np.vstack([chart.predictors, w_glue]),
+            np.vstack([chart.responses, rel - w_glue @ chart.U.T]),
+            test_u, hyper)
+        new = chart.base + test_u @ chart.U.T + post.mean
+        accumulated = np.vstack([accumulated, new])
+        chart_of += [k] * K
+    return accumulated, np.asarray(chart_of, dtype=int)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mrgap import spectral_dim
+from mrgap import cli, spectral_dim
 from mrgap.cli import main
+from mrgap.denoiser import denoise
 from mrgap.point_cloud import load_csv
 
 
@@ -82,6 +83,24 @@ class TestDenoise:
         assert len(doc["clouds"]) == 3
         np.testing.assert_allclose(np.asarray(doc["clouds"][-1]),
                                    cloud.points, atol=1e-12)
+
+    def test_trace_bytes_are_json_dumps(self, tmp_path, noisy_csv,
+                                        monkeypatch):
+        runs = []
+
+        def recording_denoise(cloud, config):
+            trace = denoise(cloud, config)
+            runs.append((trace, config))
+            return trace
+
+        monkeypatch.setattr(cli, "denoise", recording_denoise)
+        trace = tmp_path / "trace.json"
+        assert run(["denoise", "--in", noisy_csv, "--epsilon", 0.3,
+                    "--delta", 0.6, "--d", 1, "--max-iter", 2,
+                    "--out", tmp_path / "den.csv", "--trace-out", trace]) == 0
+        (result, config), = runs
+        assert trace.read_bytes() == json.dumps(
+            cli.trace_to_json(result, config)).encode()
 
     def test_missing_input(self, tmp_path):
         assert run(["denoise", "--in", tmp_path / "nope.csv",

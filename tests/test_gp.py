@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from mrgap import gp
 from mrgap.gp import (
@@ -116,6 +117,46 @@ class TestPredictive:
         w, z, u = random_instance(rng, 3, 2)
         post = predictive(w, z, u, HYPER)
         mean, cov = conditioning_oracle(w, z, u, HYPER)
+        np.testing.assert_allclose(post.mean, mean, atol=1e-8)
+        np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
+
+    @pytest.mark.parametrize("N, m, q", [
+        (1, 1, 64), (7, 5, 64), (60, 2, 64), (60, 5, 16),  # q >> m
+        (4, 60, 1), (30, 40, 3),  # m >> q
+    ])
+    def test_wide_responses_match_conditioning_oracle(self, N, m, q):
+        rng = np.random.default_rng(100 * N + m + q)
+        w, z, u = random_instance(rng, N, m, q=q)
+        post = predictive(w, z, u, HYPER)
+        mean, cov = conditioning_oracle(w, z, u, HYPER)
+        assert post.mean.shape == (m, q)
+        np.testing.assert_allclose(post.mean, mean, atol=1e-8)
+        np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
+
+    def test_duplicate_predictors_at_zero_noise(self, monkeypatch):
+        # Four of 56 grid points appear twice, with equal responses.  The
+        # noise-free Gram is then singular and is factored again with
+        # jitter, and the posterior is that of the 56 distinct points.
+        # Their Gram is well conditioned (spacing 1 against rho 0.5), so
+        # the jitter moves the result by about 1e-12.
+        attempts = []
+
+        def counting_cholesky(*args, **kwargs):
+            attempts.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "cholesky", counting_cholesky)
+        rng = np.random.default_rng(8)
+        grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(7.0)), -1)
+        grid = grid.reshape(-1, 2)
+        z = rng.normal(size=(56, 64))
+        twice = rng.choice(56, 4, replace=False)
+        u = rng.uniform(0.0, 7.0, size=(5, 2))
+        hyper = GpHyperParams(A=1.3, rho=0.5, sigma=0.0)
+        post = predictive(np.vstack([grid, grid[twice]]),
+                          np.vstack([z, z[twice]]), u, hyper)
+        assert len(attempts) > 1
+        mean, cov = conditioning_oracle(grid, z, u, hyper)
         np.testing.assert_allclose(post.mean, mean, atol=1e-8)
         np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
 

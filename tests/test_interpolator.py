@@ -11,6 +11,8 @@ from mrgap.interpolator import (
 )
 from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
 
+from .oracles import interpolate_full_scan
+
 
 def flat_plane_trace(n=150, seed=0):
     rng = np.random.default_rng(seed)
@@ -19,6 +21,15 @@ def flat_plane_trace(n=150, seed=0):
     cfg = DenoiseConfig(epsilon=0.8, delta=1.2, intrinsic_dim=2,
                         max_iter=1, sigma_tol=0.0)
     return denoise(cloud, cfg), cfg
+
+
+@pytest.fixture(scope="module")
+def cassini_trace():
+    clean = gen_cassini(102, seed=7)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.04, 8))
+    cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
+                        max_iter=2, sigma_tol=0.0)
+    return denoise(noisy, cfg), cfg
 
 
 class TestDomainBall:
@@ -132,12 +143,8 @@ class TestInterpolate:
         c = interpolate(trace, cfg, K=3, seed=6)
         assert not np.array_equal(a.points, c.points)
 
-    def test_cassini_interpolants_near_curve(self):
-        clean = gen_cassini(102, seed=7)
-        noisy = add_gaussian_noise(clean, NoiseSpec(0.04, 8))
-        cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
-                            max_iter=2, sigma_tol=0.0)
-        trace = denoise(noisy, cfg)
+    def test_cassini_interpolants_near_curve(self, cassini_trace):
+        trace, cfg = cassini_trace
         out = interpolate(trace, cfg, K=20, seed=0)
         assert out.n == 102 * 20
         from mrgap.evaluation import grmse
@@ -156,3 +163,40 @@ class TestInterpolate:
         trace, cfg = flat_plane_trace()
         with pytest.raises(ValueError):
             interpolate(trace, cfg, K=0)
+
+
+def assert_matches_full_scan(trace, cfg, K, seed):
+    out, idx = interpolate(trace, cfg, K=K, seed=seed,
+                           return_chart_index=True)
+    points, chart_of = interpolate_full_scan(trace, cfg, K, seed)
+    np.testing.assert_array_equal(out.points, points)
+    np.testing.assert_array_equal(idx, chart_of)
+    return idx
+
+
+class TestGlueLookup:
+    """The glue rows found through each chart's reach are exactly those of
+    a scan over every earlier point, so the outputs agree bitwise."""
+
+    def test_cassini_two_rounds(self, cassini_trace):
+        trace, cfg = cassini_trace
+        assert len(trace.clouds) == 3
+        assert_matches_full_scan(trace, cfg, K=20, seed=3)
+
+    def test_skipped_charts_contribute_nothing(self):
+        # Three copies of one far point come first: their charts are skipped
+        # before any chart has produced a point.
+        trace, cfg = flat_plane_trace()
+        cloud = PointCloud(np.vstack([np.tile([10.0, 10.0, 0.0], (3, 1)),
+                                      trace.clouds[-2].points]))
+        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
+                             sigma_history=trace.sigma_history)
+        with pytest.warns(UserWarning, match="degenerate domain"):
+            idx = assert_matches_full_scan(trace, cfg, K=3, seed=1)
+        assert idx.min() == 3
+
+    def test_every_earlier_point_glues(self, cassini_trace):
+        trace, cfg = cassini_trace
+        wide = DenoiseConfig(epsilon=cfg.epsilon, delta=100.0,
+                             intrinsic_dim=1, max_iter=2, sigma_tol=0.0)
+        assert_matches_full_scan(trace, wide, K=2, seed=0)
