@@ -7,7 +7,7 @@ intrinsic dimension via diffusion maps.
 """
 
 from .denoiser import DenoiseConfig, DenoiseTrace, denoise, denoise_round
-from .evaluation import GrmseReport, grmse, grmse_analytic, sandwich_gap_check
+from .evaluation import GrmseReport, grmse, grmse_analytic
 from .gp import GpHyperParams, PredictiveGaussian, fit_hyperparams, predictive
 from .interpolator import DomainBall, interpolate
 from .local_geometry import ChartRegression
@@ -46,7 +46,6 @@ __all__ = [
     "GrmseReport",
     "grmse",
     "grmse_analytic",
-    "sandwich_gap_check",
     "estimate_dimension",
     "mean_local_eigenvalues",
 ]

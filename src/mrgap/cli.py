@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .point_cloud import (
 )
 from .spectral_dim import DimensionEstimateError, estimate_dimension
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 _GENERATORS = {
     "cassini": gen_cassini,
@@ -46,7 +47,17 @@ class CliError(Exception):
         self.code = code
 
 
+def _encode_cloud(cloud: PointCloud) -> dict:
+    """A cloud as its shape and base64 little-endian float64 bytes."""
+    pts = cloud.points.astype("<f8", copy=False)
+    return {"shape": list(pts.shape), "dtype": "<f8",
+            "data": base64.b64encode(pts.tobytes()).decode("ascii")}
+
+
 def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
+    """The trace document: config, fitted hyperparameters, sigma history,
+    last-round variances, and only the last two clouds, which is all that
+    interpolate reads."""
     return {
         "schema": TRACE_SCHEMA,
         "config": {
@@ -61,25 +72,112 @@ def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
         ],
         "sigma_history": list(trace.sigma_history),
         "predictive_variances": list(trace.predictive_variances),
-        "clouds": [c.points.tolist() for c in trace.clouds],
+        "clouds": [_encode_cloud(c) for c in trace.clouds[-2:]],
     }
 
 
-def trace_from_json(doc: dict) -> tuple[DenoiseTrace, DenoiseConfig]:
+_KINDS = {
+    # abs(v) <= max is False for inf and nan, and exact for any int.
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _check(value, kind: str, name: str):
+    if not _KINDS[kind](value):
+        raise CliError(f"trace: field {name!r} must be of type {kind}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: str, where: str = ""):
+    """obj[key], checked to be present and of the given kind."""
+    name = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise CliError(f"trace: missing field {name!r}")
+    return _check(obj[key], kind, name)
+
+
+def _numbers(doc: dict, key: str) -> list[float]:
+    values = _field(doc, key, "list")
+    for i, v in enumerate(values):
+        _check(v, "number", f"{key}[{i}]")
+    return list(values)
+
+
+def _decode_cloud(doc, where: str) -> PointCloud:
+    _check(doc, "object", where)
+    shape = _field(doc, "shape", "list", where)
+    if len(shape) != 2 or not all(_KINDS["integer"](x) and x > 0
+                                  for x in shape):
+        raise CliError(f"trace: field '{where}.shape' must be [n, D], "
+                       f"both positive integers")
+    if _field(doc, "dtype", "string", where) != "<f8":
+        raise CliError(f"trace: field '{where}.dtype' must be '<f8'")
+    try:
+        raw = base64.b64decode(_field(doc, "data", "string", where),
+                               validate=True)
+    except ValueError as exc:
+        raise CliError(f"trace: field '{where}.data' is not base64: {exc}") \
+            from exc
+    n, D = shape
+    if len(raw) != 8 * n * D:
+        raise CliError(f"trace: field '{where}.data' holds {len(raw)} bytes, "
+                       f"shape {shape} needs {8 * n * D}")
+    try:
+        return PointCloud(np.frombuffer(raw, dtype="<f8").reshape(n, D))
+    except ValueError as exc:
+        raise CliError(f"trace: field {where!r}: {exc}") from exc
+
+
+def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
+    """The trace and config of a schema-2 document.  A missing or
+    ill-typed field raises CliError naming it."""
+    if not isinstance(doc, dict):
+        raise CliError("trace: not a JSON object")
     if doc.get("schema") != TRACE_SCHEMA:
-        raise CliError(f"unsupported trace schema: {doc.get('schema')!r}")
-    cfg = doc["config"]
-    config = DenoiseConfig(
-        epsilon=cfg["epsilon"],
-        delta=cfg["delta"],
-        intrinsic_dim=cfg["intrinsic_dim"],
-        max_iter=cfg["max_iter"],
-    )
+        raise CliError(
+            f"unsupported trace schema: {doc.get('schema')!r} (this version "
+            f"reads schema {TRACE_SCHEMA}); re-run `mrgap denoise "
+            f"--trace-out` to write a new trace")
+    cfg = _field(doc, "config", "object")
+    try:
+        config = DenoiseConfig(
+            epsilon=_field(cfg, "epsilon", "number", "config"),
+            delta=_field(cfg, "delta", "number", "config"),
+            intrinsic_dim=_field(cfg, "intrinsic_dim", "integer", "config"),
+            max_iter=_field(cfg, "max_iter", "integer", "config"),
+        )
+    except ValueError as exc:
+        raise CliError(f"trace: field 'config': {exc}") from exc
+    hypers = []
+    for i, h in enumerate(_field(doc, "hypers", "list")):
+        where = f"hypers[{i}]"
+        _check(h, "object", where)
+        try:
+            hypers.append(gp.GpHyperParams(
+                *(_field(h, k, "number", where) for k in ("A", "rho", "sigma"))))
+        except ValueError as exc:
+            raise CliError(f"trace: field {where!r}: {exc}") from exc
+    if not hypers:
+        raise CliError("trace: field 'hypers' is empty")
+    sigma_history = _numbers(doc, "sigma_history")
+    variances = _numbers(doc, "predictive_variances")
+    encoded = _field(doc, "clouds", "list")
+    if len(encoded) != 2:
+        raise CliError(f"trace: field 'clouds' must hold 2 clouds, "
+                       f"not {len(encoded)}")
+    clouds = [_decode_cloud(c, f"clouds[{i}]") for i, c in enumerate(encoded)]
+    if clouds[0].points.shape != clouds[1].points.shape:
+        raise CliError("trace: field 'clouds': the two shapes differ")
     trace = DenoiseTrace(
-        clouds=[PointCloud(np.asarray(c)) for c in doc["clouds"]],
-        hypers=[gp.GpHyperParams(**h) for h in doc["hypers"]],
-        sigma_history=list(doc["sigma_history"]),
-        predictive_variances=list(doc.get("predictive_variances", [])),
+        clouds=clouds,
+        hypers=hypers,
+        sigma_history=sigma_history,
+        predictive_variances=variances,
     )
     return trace, config
 
@@ -141,8 +239,7 @@ def cmd_denoise(args) -> int:
         raise CliError(str(exc), code=3) from exc
     save_csv(trace.clouds[-1], args.out)
     if args.trace_out:
-        # json.dumps runs the C encoder; json.dump the pure-Python one,
-        # which took nearly twice as long on a 5 MB trace.
+        # json.dumps runs the C encoder; json.dump the pure-Python one.
         with open(args.trace_out, "w") as fh:
             fh.write(json.dumps(trace_to_json(trace, config)))
     print(args.out)

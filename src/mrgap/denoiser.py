@@ -46,7 +46,9 @@ class DenoiseTrace:
     """Everything the interpolation phase needs from the denoising run.
 
     clouds[0] is the input, clouds[-1] the final denoised output; the
-    interpolator consumes clouds[-2] together with hypers[-1].
+    interpolator consumes clouds[-2] together with hypers[-1].  A trace
+    read from a file (mrgap.cli.trace_from_json) holds only its last two
+    clouds, clouds[-2] and clouds[-1]; its other fields are complete.
     """
 
     clouds: list[PointCloud]

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .neighborhood import dists_to_set
 from .point_cloud import PointCloud
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "plane",
     "grmse",
     "grmse_analytic",
-    "sandwich_gap_check",
+    "dists_to_set",
 ]
 
 
@@ -28,6 +28,16 @@ class GrmseReport:
     n: int
     m: int  # reference size; 0 for analytic references
     per_point_distances: np.ndarray | None = None
+
+
+def dists_to_set(points: np.ndarray, reference: PointCloud) -> np.ndarray:
+    """Exact minimum Euclidean distance from each query point to a finite
+    set, by a k-d tree."""
+    if reference.n == 0:
+        raise ValueError("reference set is empty")
+    tree = cKDTree(reference.points)
+    d, _ = tree.query(np.asarray(points, dtype=float), k=1)
+    return np.atleast_1d(d)
 
 
 def grmse(
@@ -118,36 +128,3 @@ def grmse_analytic(
         m=0,
         per_point_distances=d if keep_distances else None,
     )
-
-
-def sandwich_gap_check(
-    eval_set: PointCloud,
-    reference_on_manifold: PointCloud,
-    analytic_manifold: AnalyticManifold,
-    r: float,
-) -> tuple[bool, dict]:
-    """Sandwich inequality between sample-based and analytic GRMSE.
-
-    Checks GRMSE(Y, M) <= GRMSE(Y, ref) and
-    GRMSE(Y, ref)^2 - 2 r GRMSE(Y, M) - r^2 <= GRMSE(Y, M)^2 for a
-    caller-supplied empirical covering radius r of the reference sample.
-    """
-    if r <= 0:
-        raise ValueError("covering radius must be positive")
-    ref_d = analytic_manifold.distances(reference_on_manifold.points)
-    if np.max(ref_d) > 1e-8:
-        raise ValueError(
-            f"reference is not on the manifold (max deviation {np.max(ref_d):g})"
-        )
-    g_m = grmse_analytic(eval_set, analytic_manifold).value
-    g_ref = grmse(eval_set, reference_on_manifold).value
-    upper_ok = g_m <= g_ref + 1e-12
-    lower_ok = g_ref ** 2 - 2.0 * r * g_m - r ** 2 <= g_m ** 2 + 1e-12
-    diag = {
-        "grmse_manifold": g_m,
-        "grmse_reference": g_ref,
-        "covering_radius": r,
-        "upper_ok": upper_ok,
-        "lower_ok": lower_ok,
-    }
-    return bool(upper_ok and lower_ok), diag

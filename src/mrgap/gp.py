@@ -48,7 +48,6 @@ __all__ = [
     "predictive",
     "log_marginal",
     "log_marginal_gradient",
-    "joint_log_marginal",
     "fit_hyperparams",
 ]
 
@@ -391,17 +390,6 @@ def log_marginal_gradient(
     _, g = _single(train_w, train_z, hyper)
     # s = sigma^2 / A: d/dlog A at fixed sigma picks up -d/dlog s.
     return np.array([g[0] - g[2], g[1], 2.0 * g[2]])
-
-
-def joint_log_marginal(
-    charts: list[ChartRegression], hyper: GpHyperParams
-) -> float:
-    """Sum of per-chart log marginal likelihoods under shared hyperparameters."""
-    if not charts:
-        raise ValueError("charts list is empty")
-    stack = _ChartStack.of_charts(charts)
-    st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
-    return float(_value_grad(st, hyper.A)[0])
 
 
 def default_init(charts: list[ChartRegression]) -> GpHyperParams:

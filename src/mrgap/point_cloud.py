@@ -77,36 +77,49 @@ def _looks_numeric(row: list[str]) -> bool:
     return True
 
 
-def load_csv(path) -> PointCloud:
-    """Read one point per row from a comma-separated file.
-
-    A non-numeric first row is treated as a header and skipped.
-    Ragged or non-numeric rows raise CsvFormatError naming the offending
-    row and column (1-based, counting the header if present).
-    """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise CsvFormatError(f"{path}: empty file")
-    start = 0
-    if not _looks_numeric(rows[0]):
-        start = 1
-        if len(rows) == 1:
-            raise CsvFormatError(f"{path}: header only, no data rows")
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:], start=start):
+def _bad_row(path, rows: list[str], start: int) -> CsvFormatError | None:
+    """The error naming the first ragged or non-numeric row of rows[start:],
+    if float() finds one."""
+    width = None
+    for i, row in enumerate(csv.reader(rows[start:]), start=start):
+        width = len(row) if width is None else width
         if len(row) != width:
-            raise CsvFormatError(
+            return CsvFormatError(
                 f"{path}: row {i + 1} has {len(row)} fields, expected {width}"
             )
         for j, cell in enumerate(row):
             try:
-                data[i - start, j] = float(cell)
+                float(cell)
             except ValueError:
-                raise CsvFormatError(
+                return CsvFormatError(
                     f"{path}: row {i + 1}, column {j + 1}: not numeric: {cell!r}"
-                ) from None
+                )
+    return None
+
+
+def load_csv(path) -> PointCloud:
+    """Read one point per row from a comma-separated file.
+
+    A non-numeric first row is treated as a header and skipped; blank
+    rows are skipped.  Ragged or non-numeric rows raise CsvFormatError
+    naming the offending row and column (1-based among the non-blank
+    rows, counting the header if present).
+    """
+    with open(path) as fh:
+        rows = [line for line in fh if line != "\n"]
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+    start = 0 if _looks_numeric(next(csv.reader(rows[:1]))) else 1
+    if start == len(rows):
+        raise CsvFormatError(f"{path}: header only, no data rows")
+    # numpy's C parser reads the rows; a row it rejects is then found
+    # and named by the loop in _bad_row.
+    try:
+        data = np.loadtxt(rows[start:], dtype=float, delimiter=",",
+                          comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:
+        raise _bad_row(path, rows, start) or CsvFormatError(
+            f"{path}: {exc}") from None
     return PointCloud(data)
 
 

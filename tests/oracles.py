@@ -1,13 +1,16 @@
 """Brute-force references the tests check the program against.
 
 Each is the textbook formula, evaluated directly: no k-d tree, batching,
-profiling or factorization shortcut, so it can be checked by eye.
+profiling or factorization shortcut, so it can be checked by eye.  The
+last two helpers are test-only compositions of mrgap's own kernels:
+joint_log_marginal and sandwich_gap_check.
 """
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from mrgap import gp
+from mrgap.evaluation import grmse, grmse_analytic
 from mrgap.interpolator import estimate_domain_ball, sample_ball_uniform
 from mrgap.local_geometry import build_charts
 
@@ -180,3 +183,40 @@ def interpolate_full_scan(trace, config, K, seed=0):
         accumulated = np.vstack([accumulated, new])
         chart_of += [k] * K
     return accumulated, np.asarray(chart_of, dtype=int)
+
+
+def joint_log_marginal(charts, hyper):
+    """Sum of per-chart log marginal likelihoods under shared hyperparameters."""
+    if not charts:
+        raise ValueError("charts list is empty")
+    stack = gp._ChartStack.of_charts(charts)
+    st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
+    return float(gp._value_grad(st, hyper.A)[0])
+
+
+def sandwich_gap_check(eval_set, reference_on_manifold, analytic_manifold, r):
+    """Sandwich inequality between sample-based and analytic GRMSE.
+
+    Checks GRMSE(Y, M) <= GRMSE(Y, ref) and
+    GRMSE(Y, ref)^2 - 2 r GRMSE(Y, M) - r^2 <= GRMSE(Y, M)^2 for a
+    caller-supplied empirical covering radius r of the reference sample.
+    """
+    if r <= 0:
+        raise ValueError("covering radius must be positive")
+    ref_d = analytic_manifold.distances(reference_on_manifold.points)
+    if np.max(ref_d) > 1e-8:
+        raise ValueError(
+            f"reference is not on the manifold (max deviation {np.max(ref_d):g})"
+        )
+    g_m = grmse_analytic(eval_set, analytic_manifold).value
+    g_ref = grmse(eval_set, reference_on_manifold).value
+    upper_ok = g_m <= g_ref + 1e-12
+    lower_ok = g_ref ** 2 - 2.0 * r * g_m - r ** 2 <= g_m ** 2 + 1e-12
+    diag = {
+        "grmse_manifold": g_m,
+        "grmse_reference": g_ref,
+        "covering_radius": r,
+        "upper_ok": upper_ok,
+        "lower_ok": lower_ok,
+    }
+    return bool(upper_ok and lower_ok), diag

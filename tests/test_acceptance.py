@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from mrgap.denoiser import DenoiseConfig, denoise
-from mrgap.evaluation import circle, grmse, sandwich_gap_check
+from mrgap.evaluation import circle, grmse
 from mrgap.gp import GpHyperParams, log_marginal, log_marginal_gradient, predictive
 from mrgap.interpolator import interpolate
 from mrgap.local_geometry import InsufficientNeighborsError, build_charts
@@ -23,7 +23,7 @@ from mrgap.point_cloud import (
 )
 from mrgap.spectral_dim import diffusion_embedding, estimate_dimension
 
-from .oracles import dense_log_marginal, local_covariance
+from .oracles import dense_log_marginal, local_covariance, sandwich_gap_check
 
 
 def report(name, ok):

@@ -1,3 +1,4 @@
+import base64
 import json
 import sys
 
@@ -7,8 +8,10 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from mrgap import cli, spectral_dim
 from mrgap.cli import main
-from mrgap.denoiser import denoise
-from mrgap.point_cloud import load_csv
+from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
+from mrgap.gp import GpHyperParams
+from mrgap.interpolator import interpolate
+from mrgap.point_cloud import PointCloud, load_csv
 
 
 def run(args):
@@ -77,12 +80,14 @@ class TestDenoise:
         cloud = load_csv(str(out))
         assert (cloud.n, cloud.ambient_dim) == (102, 3)
         doc = json.loads(trace.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["rounds"] == 2
         assert len(doc["sigma_history"]) == 2
-        assert len(doc["clouds"]) == 3
-        np.testing.assert_allclose(np.asarray(doc["clouds"][-1]),
-                                   cloud.points, atol=1e-12)
+        assert len(doc["clouds"]) == 2
+        last = doc["clouds"][-1]
+        assert last["shape"] == [102, 3] and last["dtype"] == "<f8"
+        decoded = np.frombuffer(base64.b64decode(last["data"]), dtype="<f8")
+        np.testing.assert_array_equal(decoded.reshape(102, 3), cloud.points)
 
     def test_trace_bytes_are_json_dumps(self, tmp_path, noisy_csv,
                                         monkeypatch):
@@ -101,6 +106,32 @@ class TestDenoise:
         (result, config), = runs
         assert trace.read_bytes() == json.dumps(
             cli.trace_to_json(result, config)).encode()
+
+    def test_wide_trace_size(self, tmp_path, monkeypatch):
+        # Four rounds of an 86-point cloud in R^701: only the last two
+        # clouds are written, as base64 (4/3 of their 8-byte floats).
+        n, D = 86, 701
+        rng = np.random.default_rng(0)
+        clouds = [PointCloud(rng.normal(size=(n, D))) for _ in range(5)]
+        hypers = [GpHyperParams(A=1e-3, rho=0.4, sigma=5e-3 + i * 1e-4)
+                  for i in range(4)]
+        synthetic = DenoiseTrace(clouds, hypers, [h.sigma for h in hypers],
+                                 list(rng.uniform(size=n)))
+        monkeypatch.setattr(cli, "denoise", lambda cloud, config: synthetic)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, clouds[0].points, delimiter=",", fmt="%.17g")
+        trace = tmp_path / "trace.json"
+        assert run(["denoise", "--in", path, "--epsilon", 0.7, "--delta", 0.9,
+                    "--d", 1, "--out", tmp_path / "den.csv",
+                    "--trace-out", trace]) == 0
+        assert trace.stat().st_size <= 8 * n * D * 2 * 4 / 3 + 64 * 1024
+        back, _ = cli.trace_from_json(json.loads(trace.read_text()))
+        assert len(back.clouds) == 2
+        for got, want in zip(back.clouds, clouds[-2:]):
+            np.testing.assert_array_equal(got.points, want.points)
+        assert back.hypers == hypers
+        assert back.sigma_history == synthetic.sigma_history
+        assert back.predictive_variances == synthetic.predictive_variances
 
     def test_missing_input(self, tmp_path):
         assert run(["denoise", "--in", tmp_path / "nope.csv",
@@ -163,6 +194,88 @@ class TestInterpolateAndEvaluate:
         trace.write_text(json.dumps({"schema": 99}))
         assert run(["interpolate", "--trace", trace, "--k", 2,
                     "--out", tmp_path / "o.csv"]) == 2
+
+    def test_cli_matches_library(self, tmp_path, pipeline):
+        # Through the trace file, the CLI interpolates the same points,
+        # bitwise, as the library from its in-memory trace.
+        _, noisy, den, trace = pipeline
+        config = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
+                               sigma_tol=0.0, max_iter=2)
+        lib_trace = denoise(load_csv(str(noisy)), config)
+        np.testing.assert_array_equal(load_csv(str(den)).points,
+                                      lib_trace.clouds[-1].points)
+        lib_points, lib_idx = interpolate(lib_trace, config, 5, 4,
+                                          return_chart_index=True)
+        out = tmp_path / "interp.csv"
+        idx = tmp_path / "idx.json"
+        assert run(["interpolate", "--trace", trace, "--k", 5, "--seed", 4,
+                    "--out", out, "--chart-index-out", idx]) == 0
+        np.testing.assert_array_equal(load_csv(str(out)).points,
+                                      lib_points.points)
+        np.testing.assert_array_equal(
+            json.loads(idx.read_text())["chart_index"], lib_idx)
+
+    def test_schema_1_trace_asks_for_rerun(self, tmp_path, capsys):
+        trace = tmp_path / "v1.json"
+        trace.write_text(json.dumps({
+            "schema": 1,
+            "config": {"epsilon": 0.3, "delta": 0.6, "intrinsic_dim": 1,
+                       "max_iter": 2},
+            "rounds": 1,
+            "hypers": [{"A": 1.0, "rho": 0.5, "sigma": 0.1}],
+            "sigma_history": [0.1],
+            "predictive_variances": [0.0, 0.0],
+            "clouds": [[[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]],
+        }))
+        assert run(["interpolate", "--trace", trace, "--k", 2,
+                    "--out", tmp_path / "o.csv"]) == 2
+        assert "re-run `mrgap denoise --trace-out`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, corrupt", [
+        ("config", lambda doc: doc.pop("config")),
+        ("config.epsilon", lambda doc: doc["config"].pop("epsilon")),
+        ("config.epsilon",
+         lambda doc: doc["config"].update(epsilon="0.3")),
+        ("config.intrinsic_dim",
+         lambda doc: doc["config"].update(intrinsic_dim=1.5)),
+        ("config", lambda doc: doc["config"].update(delta=0.1)),
+        ("hypers", lambda doc: doc.update(hypers=[])),
+        ("hypers[1].rho", lambda doc: doc["hypers"][1].pop("rho")),
+        ("hypers[0]", lambda doc: doc["hypers"][0].update(A=-1.0)),
+        ("sigma_history", lambda doc: doc.update(sigma_history=None)),
+        ("predictive_variances[3]",
+         lambda doc: doc["predictive_variances"].__setitem__(3, "x")),
+        ("clouds", lambda doc: doc["clouds"].pop()),
+        ("clouds[0].shape", lambda doc: doc["clouds"][0].update(shape=[306])),
+        ("clouds[0].shape",
+         lambda doc: doc["clouds"][0].update(shape=[102, "3"])),
+        ("clouds[1].dtype", lambda doc: doc["clouds"][1].update(dtype="<f4")),
+        ("clouds[1].data", lambda doc: doc["clouds"][1].pop("data")),
+        ("clouds[1].data",
+         lambda doc: doc["clouds"][1].update(data="not base64!")),
+        ("clouds[0].data", lambda doc: doc["clouds"][0].update(
+            data=doc["clouds"][0]["data"][:-8])),
+        ("clouds", lambda doc: doc["clouds"][1].update(
+            shape=[51, 6])),
+    ])
+    def test_malformed_trace_is_input_error(self, tmp_path, pipeline, capsys,
+                                            field, corrupt):
+        _, _, _, trace = pipeline
+        doc = json.loads(trace.read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["interpolate", "--trace", bad, "--k", 2,
+                    "--out", tmp_path / "o.csv"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[], {"schema": 2}])
+    def test_trace_without_fields_is_input_error(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["interpolate", "--trace", bad, "--k", 2,
+                    "--out", tmp_path / "o.csv"]) == 2
+        assert "error: trace:" in capsys.readouterr().err
 
 
 class TestEstimateDim:

@@ -6,11 +6,12 @@ from mrgap.evaluation import (
     grmse,
     grmse_analytic,
     plane,
-    sandwich_gap_check,
     sphere,
     torus,
 )
 from mrgap.point_cloud import PointCloud, gen_cassini
+
+from .oracles import sandwich_gap_check
 
 
 def ring_points(n, r=1.0, seed=0):

@@ -10,7 +10,6 @@ from mrgap.gp import (
     default_init,
     fit_hyperparams,
     gram,
-    joint_log_marginal,
     log_marginal,
     log_marginal_gradient,
     predictive,
@@ -18,7 +17,7 @@ from mrgap.gp import (
 from mrgap.local_geometry import ChartRegression
 
 from .oracles import dense_log_marginal as dense_log_marginal_oracle
-from .oracles import kernel
+from .oracles import joint_log_marginal, kernel
 
 HYPER = GpHyperParams(A=1.3, rho=0.7, sigma=0.2)
 

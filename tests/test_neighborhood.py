@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrgap.local_geometry import build_charts
-from mrgap.neighborhood import dists_to_set
+from mrgap.evaluation import dists_to_set
 from mrgap.point_cloud import PointCloud
 
 from .oracles import dist_to_set, radius_neighbors
