@@ -41,10 +41,14 @@ _GENERATORS = {
 }
 
 
+# Numerical failures, which exit 3.  InsufficientNeighborsError is a
+# ValueError, so main catches these first.
+_NUMERICAL = (InsufficientNeighborsError, gp.FactorizationError,
+              gp.OptimizationError, DimensionEstimateError)
+
+
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error, which exits 2."""
 
 
 def _encode_cloud(cloud: PointCloud) -> dict:
@@ -191,33 +195,21 @@ def _load(path: str) -> PointCloud:
         raise CliError(str(exc)) from exc
 
 
-def _cap_threads(n: int | None) -> None:
-    if n is None:
-        env = os.environ.get("MRGAP_THREADS")
-        n = int(env) if env else None
-    if n is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            print("warning: thread cap unavailable", file=sys.stderr)
-            return
-        threadpool_limits(limits=n)
-
-
 def cmd_generate(args) -> int:
     gen = _GENERATORS.get(args.shape)
     if gen is None:
         raise CliError(f"unknown shape: {args.shape}")
+    noise = NoiseSpec(args.sigma, args.seed + 1)
     if args.shape == "ellipsoid":
         clean = gen(args.n, args.ambient_dim, args.seed)
     else:
         clean = gen(args.n, args.seed)
     base, ext = os.path.splitext(args.out)
-    clean_path = args.out if args.sigma == 0 else f"{base}_clean{ext}"
+    clean_path = args.out if noise.sigma == 0 else f"{base}_clean{ext}"
     save_csv(clean, clean_path)
     print(clean_path)
-    if args.sigma > 0:
-        noisy = add_gaussian_noise(clean, NoiseSpec(args.sigma, args.seed + 1))
+    if noise.sigma > 0:
+        noisy = add_gaussian_noise(clean, noise)
         save_csv(noisy, args.out)
         print(args.out)
     return 0
@@ -232,11 +224,7 @@ def cmd_denoise(args) -> int:
         sigma_tol=args.tol,
         max_iter=args.max_iter,
     )
-    try:
-        trace = denoise(cloud, config)
-    except (InsufficientNeighborsError, gp.FactorizationError,
-            gp.OptimizationError) as exc:
-        raise CliError(str(exc), code=3) from exc
+    trace = denoise(cloud, config)
     save_csv(trace.clouds[-1], args.out)
     if args.trace_out:
         # json.dumps runs the C encoder; json.dump the pure-Python one.
@@ -251,12 +239,9 @@ def cmd_interpolate(args) -> int:
         raise CliError(f"trace file not found: {args.trace}")
     with open(args.trace) as fh:
         trace, config = trace_from_json(json.load(fh))
-    try:
-        cloud, chart_idx = interpolate(
-            trace, config, args.k, args.seed, return_chart_index=True
-        )
-    except gp.FactorizationError as exc:
-        raise CliError(str(exc), code=3) from exc
+    cloud, chart_idx = interpolate(
+        trace, config, args.k, args.seed, return_chart_index=True
+    )
     save_csv(cloud, args.out)
     if args.chart_index_out:
         with open(args.chart_index_out, "w") as fh:
@@ -287,10 +272,7 @@ def cmd_estimate_dim(args) -> int:
         if args.embed_dims else None
     eps_grid = [float(x) for x in args.eps_grid.split(",")] \
         if args.eps_grid else None
-    try:
-        profile = estimate_dimension(cloud, args.eps_dm, embed_dims, eps_grid)
-    except DimensionEstimateError as exc:
-        raise CliError(str(exc), code=3) from exc
+    profile = estimate_dimension(cloud, args.eps_dm, embed_dims, eps_grid)
     print(profile.estimated_dim)
     if args.profile_out:
         width = max(len(lam) for lam in profile.lambda_bars)
@@ -305,8 +287,6 @@ def cmd_estimate_dim(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mrgap")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap internal linear-algebra parallelism")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesize a manifold sample")
@@ -361,13 +341,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    _cap_threads(args.threads)
     try:
         return args.func(args)
-    except CliError as exc:
+    except _NUMERICAL as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, OSError) as exc:
+        return 3
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

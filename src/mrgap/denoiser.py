@@ -28,7 +28,6 @@ class DenoiseConfig:
     intrinsic_dim: int
     sigma_tol: float | None = None  # None: 0.05 * first-round sigma
     max_iter: int = 10
-    hyper_init: gp.GpHyperParams | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.delta <= 0:
@@ -88,7 +87,7 @@ def denoise(cloud: PointCloud, config: DenoiseConfig) -> DenoiseTrace:
     hypers: list[gp.GpHyperParams] = []
     sigma_history: list[float] = []
     variances: list[float] = []
-    warm = config.hyper_init
+    warm = None
     tol = config.sigma_tol
     for _ in range(config.max_iter):
         new_cloud, hyper, var = denoise_round(clouds[-1], config, warm)

@@ -126,35 +126,15 @@ def _cholesky_stack(M: np.ndarray, real: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (B, n, n) stack of symmetric matrices
     scaled to a unit kernel diagonal.
 
-    A matrix that does not factor gets diagonal jitter on its real rows
-    (real is a (B, n) 0/1 array), escalating tenfold from 1e-12 to 1e-6;
-    other matrices of the stack keep theirs.
+    If the stack does not factor, _factor factors each matrix on its own,
+    with jitter on its real rows only (real is a (B, n) 0/1 array), so the
+    other matrices of the stack keep none.
     """
-    level = np.zeros(M.shape[0], dtype=int)
-    Mj = M
-    while True:
-        try:
-            return np.linalg.cholesky(Mj)
-        except np.linalg.LinAlgError:
-            pass
-        # Only on failure: find the matrices that do not factor.
-        failed = False
-        for b in range(M.shape[0]):
-            try:
-                np.linalg.cholesky(Mj[b])
-            except np.linalg.LinAlgError:
-                failed = True
-                if level[b] == len(_JITTERS) - 1:
-                    raise FactorizationError(
-                        f"Cholesky failed for {int(real[b].sum())}x"
-                        f"{int(real[b].sum())} system at max jitter "
-                        f"{_JITTERS[-1]:g}"
-                    ) from None
-                level[b] += 1
-        if not failed:
-            raise FactorizationError("stacked Cholesky failed")
-        Mj = M.copy()
-        _diagonal(Mj)[...] += _JITTERS[level][:, None] * real
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return np.stack([_factor(lambda b=b: M[b].copy(), real[b])
+                         for b in range(M.shape[0])])
 
 
 def _inner(X: np.ndarray, Y: np.ndarray) -> float:
@@ -192,9 +172,12 @@ def _lower_inverse(L: np.ndarray, b: int = _BUCKET) -> np.ndarray:
     return X
 
 
-def _factor(build, scale: float) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric matrix build() returns, with
-    the jitter escalation of _cholesky_stack.
+def _factor(build, scale) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix build() returns.
+
+    A matrix that does not factor gets diagonal jitter level * scale, the
+    level escalating tenfold from 1e-12 to 1e-6; scale is the kernel scale
+    A, or one value per row (0 on rows that take no jitter).
 
     Each attempt factors a new matrix from build() in place, since a failed
     attempt leaves its buffer partly overwritten.  SciPy's, like the solves
@@ -202,10 +185,10 @@ def _factor(build, scale: float) -> np.ndarray:
     alternating between the two made each call several times slower on two
     cores.
     """
-    for jitter in scale * _JITTERS:
+    for level in _JITTERS:
         K = build()
-        if jitter:
-            K[np.diag_indices_from(K)] += jitter
+        if level:
+            K[np.diag_indices_from(K)] += level * scale
         try:
             # K is symmetric: K.T is K in the column-major order LAPACK
             # factors in place.
@@ -213,9 +196,10 @@ def _factor(build, scale: float) -> np.ndarray:
                             check_finite=False)
         except np.linalg.LinAlgError:
             pass
+    n = np.count_nonzero(np.broadcast_to(scale, K.shape[:1]))
     raise FactorizationError(
-        f"Cholesky failed for {K.shape[0]}x{K.shape[0]} system at max "
-        f"jitter {scale * _JITTERS[-1]:g}"
+        f"Cholesky failed for {n}x{n} system at max jitter "
+        f"{_JITTERS[-1] * np.max(scale):g}"
     )
 
 

@@ -64,8 +64,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(
+                f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
 def _looks_numeric(row: list[str]) -> bool:
@@ -172,29 +173,29 @@ def gen_torus(n: int, seed: int = 0) -> PointCloud:
     )
 
 
-# Semi-axes of the dimension-estimation test surface.
+# Semi-axes of the dimension-estimation test surface, and the first of the
+# three coordinates of R^D it occupies.
 _ELLIPSOID_AXES = (2.0, 1.5, 1.0)
+_ELLIPSOID_SLOT = 13
 
 
 def gen_ellipsoid_embedded(
     n: int,
     ambient_dim: int = 30,
     seed: int = 0,
-    slot: int = 13,
 ) -> PointCloud:
     """Uniform samples on a 2-ellipsoid, rotated and zero-padded into R^D.
 
     The ellipsoid x^2/4 + y^2/2.25 + z^2 = 1 is sampled uniformly by
     area (rejection against the spherical parametrization), rotated by a
     seeded random orthogonal 3x3 matrix, and placed in coordinates
-    [slot, slot+3) of R^D (default: coordinates 14-16 of R^30).
+    14-16 of R^D (0-based 13-15), so D must be at least 16.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if ambient_dim < 3:
-        raise ValueError("ambient_dim must be >= 3")
-    if not 0 <= slot <= ambient_dim - 3:
-        raise ValueError(f"slot {slot} does not fit 3 coordinates in R^{ambient_dim}")
+    if ambient_dim < _ELLIPSOID_SLOT + 3:
+        raise ValueError(
+            f"ambient_dim must be >= {_ELLIPSOID_SLOT + 3}, got {ambient_dim}")
     rng = np.random.default_rng(seed)
     a, b, c = _ELLIPSOID_AXES
     # Uniform-on-sphere directions, thinned by the area distortion of the
@@ -211,7 +212,7 @@ def gen_ellipsoid_embedded(
     pts = pts[:n]
     rot = random_rotation(rng)
     embedded = np.zeros((n, ambient_dim))
-    embedded[:, slot : slot + 3] = pts @ rot.T
+    embedded[:, _ELLIPSOID_SLOT : _ELLIPSOID_SLOT + 3] = pts @ rot.T
     return PointCloud(embedded)
 
 

@@ -1,6 +1,5 @@
 import base64
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -45,6 +44,19 @@ class TestGenerate:
     def test_unknown_shape(self, tmp_path):
         assert run(["generate", "--shape", "mobius", "--n", 10,
                     "--out", tmp_path / "x.csv"]) == 2
+
+    def test_low_ellipsoid_ambient_dim_names_the_option(self, tmp_path,
+                                                        capsys):
+        assert run(["generate", "--shape", "ellipsoid", "--n", 10,
+                    "--ambient-dim", 10, "--out", tmp_path / "e.csv"]) == 2
+        assert "ambient_dim must be >= 16" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sigma", ["-0.1", "nan", "inf"])
+    def test_bad_sigma_writes_nothing(self, tmp_path, sigma):
+        assert run(["generate", "--shape", "cassini", "--n", 10,
+                    "--sigma", sigma, "--out", tmp_path / "c.csv"]) == 2
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -330,10 +342,52 @@ class TestUsage:
     def test_unknown_flag(self):
         assert run(["evaluate", "--bogus"]) == 2
 
-    def test_unavailable_thread_cap_warns(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MRGAP_THREADS", "1")
-        # A None entry makes the import raise ImportError.
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    def test_no_thread_cap(self, tmp_path, monkeypatch):
+        # Neither the option nor the variable exists any more.
+        assert run(["--threads", 2, "generate", "--shape", "cassini",
+                    "--n", 10, "--out", tmp_path / "c.csv"]) == 2
+        monkeypatch.setenv("MRGAP_THREADS", "abc")
         assert run(["generate", "--shape", "cassini", "--n", 10,
                     "--out", tmp_path / "c.csv"]) == 0
-        assert "warning: thread cap unavailable" in capsys.readouterr().err
+
+
+class TestNumericalExitCode:
+    @pytest.mark.parametrize("exc, code",
+                             [(e, 3) for e in cli._NUMERICAL] + [(ValueError, 2)])
+    @pytest.mark.parametrize("name", ["denoise", "interpolate",
+                                      "estimate_dimension"])
+    def test_failure_exit_code(self, tmp_path, pipeline, monkeypatch, capsys,
+                               exc, code, name):
+        _, noisy, _, trace = pipeline
+        out = tmp_path / "o.csv"
+        argv = {
+            "denoise": ["denoise", "--in", noisy, "--epsilon", 0.3,
+                        "--delta", 0.6, "--d", 1, "--out", out],
+            "interpolate": ["interpolate", "--trace", trace, "--k", 2,
+                            "--out", out],
+            "estimate_dimension": ["estimate-dim", "--in", noisy,
+                                   "--eps-dm", 0.5],
+        }[name]
+
+        def fail(*args, **kwargs):
+            raise exc("breakdown")
+
+        monkeypatch.setattr(cli, name, fail)
+        assert run(argv) == code
+        assert "error: breakdown" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_isolated_point_in_trace_is_numerical_error(
+            self, tmp_path, pipeline, capsys):
+        _, _, _, trace = pipeline
+        doc = json.loads(trace.read_text())
+        first = doc["clouds"][0]
+        pts = np.frombuffer(base64.b64decode(first["data"]),
+                            dtype="<f8").reshape(first["shape"]).copy()
+        pts[0] += 100.0
+        first["data"] = base64.b64encode(pts.tobytes()).decode("ascii")
+        bad = tmp_path / "isolated.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["interpolate", "--trace", bad, "--k", 2,
+                    "--out", tmp_path / "o.csv"]) == 3
+        assert "epsilon-ball" in capsys.readouterr().err

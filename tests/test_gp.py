@@ -463,6 +463,40 @@ class TestStackedKernel:
         with pytest.raises(FactorizationError):
             gp._cholesky_stack(np.stack([pd, indefinite]), real)
 
+    @staticmethod
+    def padded(K, n):
+        """K in the top-left of an n x n identity, and its real-row mask."""
+        M = np.eye(n)
+        M[:K.shape[0], :K.shape[0]] = K
+        real = np.zeros(n)
+        real[:K.shape[0]] = 1.0
+        return M, real
+
+    def test_failed_stack_is_factored_per_matrix_by_factor(self):
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(3, 2))
+        unit = GpHyperParams(A=1.0, rho=1.0, sigma=0.0)
+        dup = gram(np.vstack([w, w]), unit)  # s = 0: exactly singular
+        pd = [gram(rng.normal(size=(8, 2)), unit) + 0.5 * np.eye(8)
+              for _ in range(2)]
+        blocks = [self.padded(K, 8) for K in (pd[0], dup, pd[1])]
+        M = np.stack([m for m, _ in blocks])
+        real = np.stack([r for _, r in blocks])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        L = gp._cholesky_stack(M, real)
+        for b in range(3):
+            np.testing.assert_array_equal(
+                L[b], gp._factor(lambda: M[b].copy(), real[b]))
+        np.testing.assert_array_equal(L[1, 6:, :], np.eye(8)[6:])
+
+    def test_failed_stack_names_the_real_size(self):
+        indefinite = np.ones((6, 6)) - 2.0 * np.eye(6)
+        M, real = self.padded(indefinite, 8)
+        with pytest.raises(FactorizationError, match=r"6x6 system"):
+            gp._cholesky_stack(np.stack([np.eye(8), M]),
+                               np.stack([np.ones(8), real]))
+
     def test_single_factor_escalates_jitter_on_a_fresh_matrix(self):
         # a failed attempt overwrites its matrix, so every attempt builds
         # a new one
