@@ -20,7 +20,6 @@ from .evaluation import grmse
 from .interpolator import interpolate
 from .local_geometry import InsufficientNeighborsError
 from .point_cloud import (
-    CsvFormatError,
     NoiseSpec,
     PointCloud,
     add_gaussian_noise,
@@ -48,7 +47,8 @@ _NUMERICAL = (InsufficientNeighborsError, gp.FactorizationError,
 
 
 class CliError(Exception):
-    """A usage or input error, which exits 2."""
+    """A malformed field of a trace file.  main maps it, like every
+    ValueError and OSError, to exit 2."""
 
 
 def _encode_cloud(cloud: PointCloud) -> dict:
@@ -144,8 +144,8 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
         raise CliError("trace: not a JSON object")
     if doc.get("schema") != TRACE_SCHEMA:
         raise CliError(
-            f"unsupported trace schema: {doc.get('schema')!r} (this version "
-            f"reads schema {TRACE_SCHEMA}); re-run `mrgap denoise "
+            f"trace: field 'schema' is {doc.get('schema')!r}, this version "
+            f"reads schema {TRACE_SCHEMA}; re-run `mrgap denoise "
             f"--trace-out` to write a new trace")
     cfg = _field(doc, "config", "object")
     try:
@@ -186,19 +186,8 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     return trace, config
 
 
-def _load(path: str) -> PointCloud:
-    if not os.path.exists(path):
-        raise CliError(f"input file not found: {path}")
-    try:
-        return load_csv(path)
-    except CsvFormatError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def cmd_generate(args) -> int:
-    gen = _GENERATORS.get(args.shape)
-    if gen is None:
-        raise CliError(f"unknown shape: {args.shape}")
+    gen = _GENERATORS[args.shape]
     noise = NoiseSpec(args.sigma, args.seed + 1)
     if args.shape == "ellipsoid":
         clean = gen(args.n, args.ambient_dim, args.seed)
@@ -216,7 +205,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    cloud = _load(args.input)
+    cloud = load_csv(args.input)
     config = DenoiseConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -235,8 +224,6 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    if not os.path.exists(args.trace):
-        raise CliError(f"trace file not found: {args.trace}")
     with open(args.trace) as fh:
         trace, config = trace_from_json(json.load(fh))
     cloud, chart_idx = interpolate(
@@ -251,13 +238,8 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    eval_set = _load(args.input)
-    reference = _load(args.reference)
-    if eval_set.ambient_dim != reference.ambient_dim:
-        raise CliError(
-            f"ambient dimensions differ: {eval_set.ambient_dim} vs "
-            f"{reference.ambient_dim}"
-        )
+    eval_set = load_csv(args.input)
+    reference = load_csv(args.reference)
     report = grmse(eval_set, reference, keep_distances=bool(args.distances_out))
     print(f"{report.value:.17g}")
     if args.distances_out:
@@ -267,7 +249,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_estimate_dim(args) -> int:
-    cloud = _load(args.input)
+    cloud = load_csv(args.input)
     embed_dims = [int(x) for x in args.embed_dims.split(",")] \
         if args.embed_dims else None
     eps_grid = [float(x) for x in args.eps_grid.split(",")] \
@@ -290,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesize a manifold sample")
-    g.add_argument("--shape", required=True)
+    g.add_argument("--shape", required=True, choices=sorted(_GENERATORS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--sigma", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=0)

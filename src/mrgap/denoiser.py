@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .local_geometry import build_charts
+from .local_geometry import build_charts, check_radii
 from .point_cloud import PointCloud
 
 __all__ = ["DenoiseConfig", "DenoiseTrace", "denoise_round", "denoise"]
@@ -30,10 +30,9 @@ class DenoiseConfig:
     max_iter: int = 10
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0:
-            raise ValueError("epsilon and delta must be positive")
-        if self.delta <= self.epsilon:
-            raise ValueError("delta must exceed epsilon")
+        check_radii(self.epsilon, self.delta)
+        if self.sigma_tol is not None and not 0 <= self.sigma_tol < np.inf:
+            raise ValueError("sigma_tol must be finite and nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.intrinsic_dim < 1:

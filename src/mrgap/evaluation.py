@@ -49,7 +49,8 @@ def grmse(
     if eval_set.n == 0 or reference.n == 0:
         raise ValueError("both point sets must be nonempty")
     if eval_set.ambient_dim != reference.ambient_dim:
-        raise ValueError("ambient dimensions differ")
+        raise ValueError(f"ambient dimensions differ: {eval_set.ambient_dim} "
+                         f"vs {reference.ambient_dim}")
     d = dists_to_set(eval_set.points, reference)
     return GrmseReport(
         value=float(np.sqrt(np.mean(d ** 2))),

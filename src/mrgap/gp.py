@@ -87,10 +87,10 @@ class GpHyperParams:
     sigma: float
 
     def __post_init__(self):
-        if self.A <= 0 or self.rho <= 0:
-            raise ValueError("A and rho must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 < self.A < np.inf or not 0 < self.rho < np.inf:
+            raise ValueError("A and rho must be finite and positive")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

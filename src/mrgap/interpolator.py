@@ -52,13 +52,12 @@ def estimate_domain_ball(predictors: np.ndarray) -> DomainBall:
     return DomainBall(center=center, radius=radius)
 
 
-def sample_ball_uniform(
-    ball: DomainBall, K: int, d: int, seed: int
-) -> np.ndarray:
-    """K i.i.d. uniform draws from the closed d-ball (Gaussian direction,
-    radius scaled by u^(1/d))."""
+def sample_ball_uniform(ball: DomainBall, K: int, seed: int) -> np.ndarray:
+    """K i.i.d. uniform draws from the closed ball, of the dimension d of
+    its center (Gaussian direction, radius scaled by u^(1/d))."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    d = ball.center.shape[0]
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(K, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -86,24 +85,21 @@ def interpolate(
         raise ValueError("K must be >= 1")
     cloud = trace.clouds[-2]
     hyper = trace.hypers[-1]
-    d = config.intrinsic_dim
+    D = cloud.ambient_dim
     chart_seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
 
-    chart_of: list[int] = []
-    # Interpolated points so far are accumulated[:filled].  Chart j's K
-    # points are the rows from first[j], all within reach[j] of y_j; a
-    # skipped chart reaches nowhere.
-    accumulated = np.empty((cloud.n * K, cloud.ambient_dim))
-    filled = 0
-    first = np.zeros(cloud.n, dtype=np.intp)
+    # Chart j's K points are out[j], all within reach[j] of y_j; a skipped
+    # chart reaches nowhere.
+    out = np.empty((cloud.n, K, D))
     reach = np.full(cloud.n, -np.inf)
-    charts = build_charts(cloud, config.epsilon, config.delta, d)
+    charts = build_charts(cloud, config.epsilon, config.delta,
+                          config.intrinsic_dim)
     for k, chart in enumerate(charts):
         ball = estimate_domain_ball(chart.predictors)
         if ball.radius == 0.0:
             warnings.warn(f"chart {k}: degenerate domain, skipped")
             continue
-        test_u = sample_ball_uniform(ball, K, d, int(chart_seeds[k]))
+        test_u = sample_ball_uniform(ball, K, int(chart_seeds[k]))
 
         # Gluing points: earlier interpolated points within delta of y_k.
         # By the triangle inequality only charts j with
@@ -114,8 +110,7 @@ def interpolate(
         base_dist = np.linalg.norm(cloud.points[:k] - chart.base, axis=1)
         near = np.flatnonzero(
             base_dist <= (config.delta + reach[:k]) * (1.0 + 1e-9))
-        rows = (first[near, None] + np.arange(K)).ravel()
-        rel = accumulated[rows] - chart.base
+        rel = out[near].reshape(-1, D) - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
         w_glue = rel @ chart.U
         train_w = np.vstack([chart.predictors, w_glue])
@@ -124,14 +119,13 @@ def interpolate(
             post = gp.predictive(train_w, train_z, test_u, hyper)
         except gp.FactorizationError as exc:
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
-        chart_of.extend([k] * K)
-        new = chart.base + test_u @ chart.U.T + post.mean
-        accumulated[filled:filled + K] = new
-        first[k] = filled
-        reach[k] = np.max(np.linalg.norm(new - chart.base, axis=1))
-        filled += K
+        out[k] = chart.base + test_u @ chart.U.T + post.mean
+        reach[k] = np.max(np.linalg.norm(out[k] - chart.base, axis=1))
 
-    out = PointCloud(accumulated[:filled])
+    made = np.flatnonzero(reach != -np.inf)
+    # Rebinding frees the (n, K, D) buffer before PointCloud copies the rows.
+    out = out[made].reshape(-1, D)
+    points = PointCloud(out)
     if return_chart_index:
-        return out, np.asarray(chart_of, dtype=int)
-    return out
+        return points, np.repeat(made, K)
+    return points

@@ -11,7 +11,6 @@ normal space, so no chart computes or stores one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ __all__ = [
     "ChartRegression",
     "InsufficientNeighborsError",
     "build_charts",
+    "check_radii",
 ]
 
 
@@ -53,6 +53,14 @@ class ChartRegression:
         return self.U.shape[0] - self.U.shape[1]
 
 
+def check_radii(epsilon: float, delta: float) -> None:
+    """The rule on the chart radii: 0 < epsilon < delta < inf."""
+    if not 0 < epsilon < np.inf or not 0 < delta < np.inf:
+        raise ValueError("epsilon and delta must be finite and positive")
+    if delta <= epsilon:
+        raise ValueError("delta must exceed epsilon")
+
+
 def build_charts(
     cloud: PointCloud, epsilon: float, delta: float, d: int
 ) -> list[ChartRegression]:
@@ -67,19 +75,14 @@ def build_charts(
     finds the candidates of both, which are then tested by the exact
     distance.  Fails loudly if an epsilon-ball holds d or fewer points.
     """
-    if epsilon <= 0 or delta <= 0:
-        raise ValueError("epsilon and delta must be positive")
+    check_radii(epsilon, delta)
     D = cloud.ambient_dim
     if not 1 <= d < D:
         raise ValueError(f"intrinsic dim must satisfy 1 <= d < {D}, got {d}")
-    if delta <= epsilon:
-        warnings.warn(
-            f"delta ({delta}) should exceed epsilon ({epsilon})", stacklevel=2
-        )
     pts = cloud.points
     # The slack keeps every point the exact test below accepts, whatever
     # rounding the tree's own distances have.
-    radius = max(epsilon, delta) * (1.0 + 1e-9)
+    radius = delta * (1.0 + 1e-9)
     candidates = cKDTree(pts).query_ball_point(pts, radius, return_sorted=True)
     charts = []
     for k, cand in enumerate(candidates):

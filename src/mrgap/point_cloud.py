@@ -64,7 +64,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+        if not 0 <= self.sigma < np.inf:
             raise ValueError(
                 f"sigma must be finite and nonnegative, got {self.sigma}")
 

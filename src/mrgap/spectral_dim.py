@@ -73,8 +73,8 @@ def diffusion_embedding(
     n = cloud.n
     if n < 2:
         raise ValueError("need at least 2 points")
-    if eps_dm <= 0:
-        raise ValueError("eps_dm must be positive")
+    if not 0 < eps_dm < np.inf:
+        raise ValueError("eps_dm must be finite and positive")
     if not 0 <= ell < n:
         raise ValueError("ell must satisfy 0 <= ell < n")
     S = cdist(cloud.points, cloud.points, "sqeuclidean")
@@ -117,8 +117,8 @@ def mean_local_eigenvalues(cloud: PointCloud, epsilon: float) -> np.ndarray:
     memory bounded when the balls cover the whole cloud; each candidate is
     then tested by the exact distance.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be finite and positive")
     pts = cloud.points
     n, D = pts.shape
     tree = cKDTree(pts)
@@ -186,6 +186,8 @@ def estimate_dimension(
         embed_dims = [3, 4, 5, 6]
     if not embed_dims:
         raise ValueError("embed_dims is empty")
+    if min(embed_dims) < 1:
+        raise ValueError("embedding dimensions must be >= 1")
     if eps_grid is not None and not eps_grid:
         raise ValueError("eps_grid is empty")
     spec = diffusion_embedding(cloud, eps_dm, max(embed_dims))

@@ -171,7 +171,7 @@ def interpolate_full_scan(trace, config, K, seed=0):
         ball = estimate_domain_ball(chart.predictors)
         if ball.radius == 0.0:
             continue
-        test_u = sample_ball_uniform(ball, K, d, int(seeds[k]))
+        test_u = sample_ball_uniform(ball, K, int(seeds[k]))
         rel = accumulated - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
         w_glue = rel @ chart.U

@@ -190,11 +190,12 @@ class TestInterpolateAndEvaluate:
         assert run(["evaluate", "--in", noisy, "--ref", noisy]) == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
 
-    def test_evaluate_dimension_mismatch(self, tmp_path, pipeline):
+    def test_evaluate_dimension_mismatch(self, tmp_path, pipeline, capsys):
         _, noisy, _, _ = pipeline
         other = tmp_path / "d2.csv"
         np.savetxt(other, np.zeros((4, 2)), delimiter=",")
         assert run(["evaluate", "--in", noisy, "--ref", other]) == 2
+        assert "ambient dimensions differ: 3 vs 2" in capsys.readouterr().err
 
     def test_evaluate_missing_file(self, tmp_path, pipeline):
         _, noisy, _, _ = pipeline
@@ -333,6 +334,52 @@ class TestEstimateDim:
         np.savetxt(path, np.column_stack([np.cos(theta), np.sin(theta)]),
                    delimiter=",")
         assert run(["estimate-dim", "--in", path, "--eps-dm", 0.5]) == 3
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "noisy60.csv"
+    run(["generate", "--shape", "cassini", "--n", 60,
+         "--sigma", 0.04, "--seed", 7, "--out", path])
+    return path
+
+
+_DENOISE = ["denoise", "--in", "NOISY", "--d", 1, "--out", "OUT"]
+
+
+class TestBadInput:
+    """Every unreadable file and every non-finite or out-of-range number
+    exits 2 with one error line and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", "nan"],
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", "inf"],
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", 0.5,
+         "--eps-grid", "nan"],
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", 0.5,
+         "--eps-grid", "inf"],
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", 0.5,
+         "--embed-dims", 0],
+        _DENOISE + ["--epsilon", "nan", "--delta", 0.6],
+        _DENOISE + ["--epsilon", 0.3, "--delta", "nan"],
+        _DENOISE + ["--epsilon", 0.3, "--delta", "inf"],
+        _DENOISE + ["--epsilon", 0.3, "--delta", 0.6, "--tol", "nan"],
+        ["estimate-dim", "--in", "MISSING", "--eps-dm", 0.5],
+        ["interpolate", "--trace", "MISSING", "--k", 2, "--out", "OUT"],
+        ["generate", "--shape", "blob", "--n", 10, "--out", "OUT"],
+    ], ids=["eps-dm-nan", "eps-dm-inf", "eps-grid-nan", "eps-grid-inf",
+            "embed-dims-0", "epsilon-nan", "delta-nan", "delta-inf",
+            "tol-nan", "missing-in", "missing-trace", "shape-blob"])
+    def test_exits_2(self, tmp_path, small_csv, noisy_csv, capsys, argv):
+        out = tmp_path / "o.csv"
+        paths = {"SMALL": small_csv, "NOISY": noisy_csv, "OUT": out,
+                 "MISSING": tmp_path / "absent"}
+        assert run([paths.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines()
+                    if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUsage:

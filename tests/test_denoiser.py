@@ -22,6 +22,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             DenoiseConfig(epsilon=1.0, delta=0.5, intrinsic_dim=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", np.nan), ("epsilon", np.inf), ("delta", np.nan),
+        ("delta", np.inf), ("sigma_tol", np.nan), ("sigma_tol", np.inf),
+        ("sigma_tol", -0.1)])
+    def test_rejects_nonfinite_and_negative(self, field, value):
+        kwargs = dict(epsilon=0.3, delta=0.6, intrinsic_dim=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            DenoiseConfig(**kwargs)
+
     def test_max_iter_positive(self):
         with pytest.raises(ValueError):
             DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1, max_iter=0)
@@ -136,6 +146,27 @@ class TestDenoise:
         for ha, hb in zip(a.hypers, b.hypers):
             np.testing.assert_allclose([hb.A, hb.rho, hb.sigma],
                                        [ha.A, ha.rho, ha.sigma], rtol=1e-10)
+
+    @pytest.mark.parametrize("c", [1e-3, 3.0, 1e3])
+    def test_scale_equivariance(self, c):
+        # c X with c epsilon and c delta: the points scale by c, A and rho
+        # by c^2 and sigma by c.
+        clean = gen_cassini(102, seed=7)
+        noisy = add_gaussian_noise(clean, NoiseSpec(0.04, 8))
+        a = denoise(noisy, DenoiseConfig(epsilon=0.3, delta=0.6,
+                                         intrinsic_dim=1, max_iter=2,
+                                         sigma_tol=0.0))
+        b = denoise(PointCloud(c * noisy.points),
+                    DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c,
+                                  intrinsic_dim=1, max_iter=2, sigma_tol=0.0))
+        assert a.rounds == b.rounds == 2
+        want = a.clouds[-1].points
+        np.testing.assert_allclose(b.clouds[-1].points / c, want, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(want)))
+        for ha, hb in zip(a.hypers, b.hypers):
+            np.testing.assert_allclose(
+                [hb.A / c ** 2, hb.rho / c ** 2, hb.sigma / c],
+                [ha.A, ha.rho, ha.sigma], rtol=1e-10)
 
     def test_flat_plane_interpolation_ready_trace(self):
         cloud = flat_plane_cloud()

@@ -360,6 +360,10 @@ class TestJointAndFit:
             GpHyperParams(A=1.0, rho=0.0, sigma=0.1)
         with pytest.raises(ValueError):
             GpHyperParams(A=1.0, rho=1.0, sigma=-0.1)
+        for bad in (np.nan, np.inf):
+            for args in ((bad, 1.0, 0.1), (1.0, bad, 0.1), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    GpHyperParams(*args)
 
 
 def mixed_charts(seed):
@@ -540,3 +544,37 @@ class TestStackedKernel:
         assert got >= joint_log_marginal(charts, init)
         for res in results:
             assert got >= -res.fun * qN - 1e-9 * abs(got)
+
+    def test_non_pd_start_cannot_corrupt_fit(self, monkeypatch):
+        # Every factorization at rho > 3x the init's fails, so the rho x10
+        # start begins at an objective of inf.
+        charts = mixed_charts(23)
+        init = GpHyperParams(A=0.5, rho=2.0, sigma=0.5)
+        stats = gp._ChartStack.stats
+
+        def failing(self, rho, s):
+            if rho > 3 * init.rho:
+                raise FactorizationError("not positive definite")
+            return stats(self, rho, s)
+
+        starts, made = [], []
+        minimize, real = gp.minimize, gp.GpHyperParams
+
+        def minimize_spy(fun, x0, **kwargs):
+            starts.append(fun(x0)[0])
+            return minimize(fun, x0, **kwargs)
+
+        def hyper_spy(*args, **kwargs):
+            made.append(list(args) + list(kwargs.values()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gp._ChartStack, "stats", failing)
+        monkeypatch.setattr(gp, "minimize", minimize_spy)
+        monkeypatch.setattr(gp, "GpHyperParams", hyper_spy)
+        fitted = fit_hyperparams(charts, init)
+        assert np.isfinite(starts[0]) and np.isinf(starts[2])  # rho x10
+        assert np.all(np.isfinite([fitted.A, fitted.rho, fitted.sigma]))
+        assert fitted.rho <= 3 * init.rho
+        assert joint_log_marginal(charts, fitted) >= \
+            joint_log_marginal(charts, init)
+        assert made and np.all(np.isfinite(made))

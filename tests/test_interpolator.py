@@ -82,37 +82,43 @@ class TestDomainBall:
 class TestSampleBall:
     def test_inside_ball(self):
         ball = DomainBall(center=np.array([1.0, -2.0]), radius=0.7)
-        pts = sample_ball_uniform(ball, 500, 2, seed=1)
+        pts = sample_ball_uniform(ball, 500, seed=1)
         assert pts.shape == (500, 2)
         r = np.linalg.norm(pts - ball.center, axis=1)
         assert np.max(r) <= ball.radius + 1e-12
 
     def test_seed_determinism(self):
         ball = DomainBall(center=np.zeros(3), radius=1.0)
-        a = sample_ball_uniform(ball, 50, 3, seed=9)
-        b = sample_ball_uniform(ball, 50, 3, seed=9)
+        a = sample_ball_uniform(ball, 50, seed=9)
+        b = sample_ball_uniform(ball, 50, seed=9)
         np.testing.assert_array_equal(a, b)
-        c = sample_ball_uniform(ball, 50, 3, seed=10)
+        c = sample_ball_uniform(ball, 50, seed=10)
         assert not np.array_equal(a, c)
 
     def test_radial_moment_1d(self):
         # uniform on [-R, R]: E|x - c| = R/2
         ball = DomainBall(center=np.array([0.0]), radius=2.0)
-        pts = sample_ball_uniform(ball, 100_000, 1, seed=2)
+        pts = sample_ball_uniform(ball, 100_000, seed=2)
         mean_abs = np.mean(np.abs(pts))
         np.testing.assert_allclose(mean_abs, 1.0, rtol=0.02)
 
     def test_radial_moment_2d(self):
         # uniform on the disk of radius R: E r = 2R/3
         ball = DomainBall(center=np.zeros(2), radius=1.5)
-        pts = sample_ball_uniform(ball, 100_000, 2, seed=3)
+        pts = sample_ball_uniform(ball, 100_000, seed=3)
         r = np.linalg.norm(pts, axis=1)
         np.testing.assert_allclose(np.mean(r), 1.0, rtol=0.02)
+
+    def test_dimension_of_center(self):
+        ball = DomainBall(center=np.array([3.0]), radius=0.5)
+        pts = sample_ball_uniform(ball, 7, seed=0)
+        assert pts.shape == (7, 1)
+        assert np.max(np.abs(pts - 3.0)) <= 0.5
 
     def test_rejects_bad_count(self):
         ball = DomainBall(center=np.zeros(2), radius=1.0)
         with pytest.raises(ValueError):
-            sample_ball_uniform(ball, 0, 2, seed=0)
+            sample_ball_uniform(ball, 0, seed=0)
 
 
 class TestInterpolate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrgap.denoiser import DenoiseConfig
 from mrgap.local_geometry import InsufficientNeighborsError, build_charts
 from mrgap.point_cloud import PointCloud, gen_cassini
 
@@ -125,6 +126,10 @@ class TestEigenFrame:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             build_charts(random_cloud(10, 3, 0), 0.0, 1.0, 1)
+        for eps, delta in [(np.nan, 1.0), (0.5, np.nan), (0.5, np.inf),
+                           (np.inf, np.inf)]:
+            with pytest.raises(ValueError, match="finite and positive"):
+                build_charts(random_cloud(10, 3, 0), eps, delta, 1)
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
@@ -199,11 +204,15 @@ class TestBuildChartData:
         with pytest.raises(InsufficientNeighborsError, match="point 0"):
             build_charts(PointCloud(pts), 0.5, 1.0, 1)
 
-    def test_delta_not_above_epsilon_warns(self):
+    def test_delta_not_above_epsilon_raises(self):
+        # The one rule on the radii, which DenoiseConfig applies too.
         rng = np.random.default_rng(1)
         cloud = PointCloud(rng.normal(size=(20, 2)))
-        with pytest.warns(UserWarning):
-            build_charts(cloud, 3.0, 2.0, 1)
+        for delta in (2.0, 3.0):
+            with pytest.raises(ValueError, match="delta must exceed epsilon"):
+                build_charts(cloud, 3.0, delta, 1)
+            with pytest.raises(ValueError, match="delta must exceed epsilon"):
+                DenoiseConfig(epsilon=3.0, delta=delta, intrinsic_dim=1)
 
     def test_cassini_charts_consistent(self):
         cloud = gen_cassini(102, seed=7)

@@ -51,6 +51,9 @@ class TestGraphLaplacian:
             diffusion_embedding(PointCloud(np.zeros((1, 2))), 1.0, 0)
         with pytest.raises(ValueError):
             diffusion_embedding(PointCloud(np.zeros((3, 2))), 0.0, 1)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                diffusion_embedding(PointCloud(np.zeros((3, 2))), eps, 1)
 
 
 class TestDiffusionEmbedding:
@@ -132,6 +135,11 @@ class TestMeanLocalEigenvalues:
     def test_descending(self):
         lam = mean_local_eigenvalues(noisy_ring(60, seed=8), 0.4)
         assert np.all(np.diff(lam) <= 1e-15)
+
+    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+    def test_rejects_bad_epsilon(self, eps):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mean_local_eigenvalues(noisy_ring(20), eps)
 
 
 class TestEstimateDimension:
@@ -217,6 +225,11 @@ class TestEstimateDimension:
         assert not np.any(profile.lambda_bars[3])
         alone = estimate_dimension(cloud, eps_dm=1.0, embed_dims=[3, 4])
         assert profile.estimated_dim == alone.estimated_dim
+
+    @pytest.mark.parametrize("dims", [[0], [3, 0], [-1, 4]])
+    def test_rejects_embedding_dimension_below_one(self, dims):
+        with pytest.raises(ValueError, match=">= 1"):
+            estimate_dimension(noisy_ring(20), 0.5, embed_dims=dims)
 
     def test_no_vote_is_an_error(self):
         cloud = PointCloud(np.random.default_rng(0).normal(size=(7, 3)))
