@@ -6,11 +6,10 @@ by gluing the charts, scores results with a geometric RMSE, and estimates
 intrinsic dimension via diffusion maps.
 """
 
-from .denoiser import DenoiseConfig, DenoiseTrace, denoise, denoise_round
-from .evaluation import GrmseReport, grmse, grmse_analytic
-from .gp import GpHyperParams, PredictiveGaussian, fit_hyperparams, predictive
-from .interpolator import DomainBall, interpolate
-from .local_geometry import ChartRegression
+from .denoiser import DenoiseConfig, DenoiseTrace, denoise
+from .evaluation import grmse
+from .gp import GpHyperParams
+from .interpolator import interpolate
 from .point_cloud import (
     NoiseSpec,
     PointCloud,
@@ -21,7 +20,7 @@ from .point_cloud import (
     load_csv,
     save_csv,
 )
-from .spectral_dim import estimate_dimension, mean_local_eigenvalues
+from .spectral_dim import estimate_dimension
 
 __all__ = [
     "PointCloud",
@@ -32,22 +31,13 @@ __all__ = [
     "gen_torus",
     "gen_ellipsoid_embedded",
     "add_gaussian_noise",
-    "ChartRegression",
     "GpHyperParams",
-    "PredictiveGaussian",
-    "predictive",
-    "fit_hyperparams",
     "DenoiseConfig",
     "DenoiseTrace",
     "denoise",
-    "denoise_round",
-    "DomainBall",
     "interpolate",
-    "GrmseReport",
     "grmse",
-    "grmse_analytic",
     "estimate_dimension",
-    "mean_local_eigenvalues",
 ]
 
 __version__ = "0.1.0"

@@ -240,7 +240,7 @@ def cmd_interpolate(args) -> int:
 def cmd_evaluate(args) -> int:
     eval_set = load_csv(args.input)
     reference = load_csv(args.reference)
-    report = grmse(eval_set, reference, keep_distances=bool(args.distances_out))
+    report = grmse(eval_set, reference)
     print(f"{report.value:.17g}")
     if args.distances_out:
         np.savetxt(args.distances_out, report.per_point_distances,

@@ -46,8 +46,6 @@ __all__ = [
     "OptimizationError",
     "gram",
     "predictive",
-    "log_marginal",
-    "log_marginal_gradient",
     "fit_hyperparams",
 ]
 
@@ -349,31 +347,6 @@ def _value_grad(st: _Stats, A: float) -> tuple[float, np.ndarray]:
         st.s * (st.U[1] / A - st.q * st.V[1]),
     ])
     return value, grad
-
-
-def _single(train_w, train_z, hyper: GpHyperParams):
-    train_w = np.atleast_2d(np.asarray(train_w, dtype=float))
-    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
-    if train_w.shape[0] < 1:
-        raise ValueError("need at least one training point")
-    stack = _ChartStack([(train_w, train_z)], train_z.shape[1])
-    return _value_grad(stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
-
-
-def log_marginal(
-    train_w: np.ndarray, train_z: np.ndarray, hyper: GpHyperParams
-) -> float:
-    """Un-halved log marginal likelihood of the responses."""
-    return float(_single(train_w, train_z, hyper)[0])
-
-
-def log_marginal_gradient(
-    train_w: np.ndarray, train_z: np.ndarray, hyper: GpHyperParams
-) -> np.ndarray:
-    """Gradient of log_marginal with respect to (log A, log rho, log sigma)."""
-    _, g = _single(train_w, train_z, hyper)
-    # s = sigma^2 / A: d/dlog A at fixed sigma picks up -d/dlog s.
-    return np.array([g[0] - g[2], g[1], 2.0 * g[2]])
 
 
 def default_init(charts: list[ChartRegression]) -> GpHyperParams:

@@ -56,6 +56,17 @@ class DimensionProfile:
     estimated_dim: int
 
 
+def _check_bandwidth(eps: float, name: str) -> None:
+    """The rule for eps_dm and every local-PCA epsilon: finite and positive,
+    with a square that neither underflows to 0 nor overflows, since the
+    kernel divides by eps_dm ** 2.  A product of Python floats, unlike
+    eps ** 2 or a product of NumPy scalars, neither raises nor warns."""
+    eps = float(eps)
+    if not (eps > 0 and 0 < eps * eps < np.inf):
+        raise ValueError(f"{name} must be finite and positive, and its "
+                         f"square a nonzero finite float")
+
+
 def diffusion_embedding(
     cloud: PointCloud, eps_dm: float, ell: int
 ) -> DiffusionSpectrum:
@@ -73,8 +84,7 @@ def diffusion_embedding(
     n = cloud.n
     if n < 2:
         raise ValueError("need at least 2 points")
-    if not 0 < eps_dm < np.inf:
-        raise ValueError("eps_dm must be finite and positive")
+    _check_bandwidth(eps_dm, "eps_dm")
     if not 0 <= ell < n:
         raise ValueError("ell must satisfy 0 <= ell < n")
     S = cdist(cloud.points, cloud.points, "sqeuclidean")
@@ -117,8 +127,7 @@ def mean_local_eigenvalues(cloud: PointCloud, epsilon: float) -> np.ndarray:
     memory bounded when the balls cover the whole cloud; each candidate is
     then tested by the exact distance.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be finite and positive")
+    _check_bandwidth(epsilon, "epsilon")
     pts = cloud.points
     n, D = pts.shape
     tree = cKDTree(pts)
@@ -190,6 +199,8 @@ def estimate_dimension(
         raise ValueError("embedding dimensions must be >= 1")
     if eps_grid is not None and not eps_grid:
         raise ValueError("eps_grid is empty")
+    for eps in eps_grid or ():
+        _check_bandwidth(eps, "epsilon")
     spec = diffusion_embedding(cloud, eps_dm, max(embed_dims))
     scale = np.sqrt(cloud.n)
 

@@ -2,15 +2,28 @@
 
 Each is the textbook formula, evaluated directly: no k-d tree, batching,
 profiling or factorization shortcut, so it can be checked by eye.  The
-last two helpers are test-only compositions of mrgap's own kernels:
-joint_log_marginal and sandwich_gap_check.
+closed-form distances to a circle, sphere, torus or coordinate plane
+(AnalyticManifold and grmse_analytic) are references of the same kind.
+
+The last helpers are test-only compositions of mrgap's own kernels:
+
+- interpolate_full_scan: interpolate with a scan of every earlier point
+  for glue rows, from build_charts, estimate_domain_ball,
+  sample_ball_uniform and gp.predictive;
+- log_marginal and log_marginal_gradient: one chart's likelihood from
+  gp._ChartStack and gp._value_grad, taking q from the width of z;
+- joint_log_marginal: the summed likelihood of a list of charts, the
+  same way;
+- sandwich_gap_check: grmse against grmse_analytic.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from mrgap import gp
-from mrgap.evaluation import grmse, grmse_analytic
+from mrgap.evaluation import GrmseReport, grmse
 from mrgap.interpolator import estimate_domain_ball, sample_ball_uniform
 from mrgap.local_geometry import build_charts
 
@@ -153,6 +166,70 @@ def dense_log_marginal(w, z, hyper):
     )
 
 
+@dataclass(frozen=True)
+class AnalyticManifold:
+    """Closed-form distance oracle for a handful of simple shapes."""
+
+    kind: str
+    params: tuple[float, ...]
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.kind == "circle":
+            (r,) = self.params
+            ring = np.hypot(pts[:, 0], pts[:, 1]) - r
+            rest = np.sum(pts[:, 2:] ** 2, axis=1)
+            return np.sqrt(ring ** 2 + rest)
+        if self.kind == "sphere":
+            (r,) = self.params
+            return np.abs(np.linalg.norm(pts, axis=1) - r)
+        if self.kind == "torus":
+            R, r = self.params
+            spine = np.sqrt(
+                (np.hypot(pts[:, 0], pts[:, 1]) - R) ** 2 + pts[:, 2] ** 2
+            )
+            return np.abs(spine - r)
+        if self.kind == "plane":
+            (d,) = self.params
+            return np.linalg.norm(pts[:, int(d) :], axis=1)
+        raise ValueError(f"unsupported shape: {self.kind}")
+
+
+def circle(r: float) -> AnalyticManifold:
+    """Circle of radius r in the span of the first two coordinates."""
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return AnalyticManifold("circle", (r,))
+
+
+def sphere(r: float) -> AnalyticManifold:
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return AnalyticManifold("sphere", (r,))
+
+
+def torus(R: float, r: float) -> AnalyticManifold:
+    if R <= 0 or r <= 0 or r >= R:
+        raise ValueError("need 0 < r < R")
+    return AnalyticManifold("torus", (R, r))
+
+
+def plane(d: int) -> AnalyticManifold:
+    """Coordinate plane spanned by the first d axes."""
+    if d < 1:
+        raise ValueError("plane dimension must be >= 1")
+    return AnalyticManifold("plane", (float(d),))
+
+
+def grmse_analytic(eval_set, manifold):
+    """GRMSE against an analytic surface instead of a reference set."""
+    if eval_set.n == 0:
+        raise ValueError("evaluation set is empty")
+    d = manifold.distances(eval_set.points)
+    return GrmseReport(value=float(np.sqrt(np.mean(d ** 2))),
+                       per_point_distances=d)
+
+
 def interpolate_full_scan(trace, config, K, seed=0):
     """mrgap's interpolate with the glue rows of each chart found by
     scanning every point produced so far; returns (points, chart index).
@@ -183,6 +260,30 @@ def interpolate_full_scan(trace, config, K, seed=0):
         accumulated = np.vstack([accumulated, new])
         chart_of += [k] * K
     return accumulated, np.asarray(chart_of, dtype=int)
+
+
+def _single(train_w, train_z, hyper):
+    train_w = np.atleast_2d(np.asarray(train_w, dtype=float))
+    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
+    if train_w.shape[0] < 1:
+        raise ValueError("need at least one training point")
+    stack = gp._ChartStack([(train_w, train_z)], train_z.shape[1])
+    return gp._value_grad(stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A),
+                          hyper.A)
+
+
+def log_marginal(train_w, train_z, hyper):
+    """Un-halved log marginal likelihood of the responses, with q the
+    width of train_z: give it normal coordinates, not a chart's ambient
+    residuals."""
+    return float(_single(train_w, train_z, hyper)[0])
+
+
+def log_marginal_gradient(train_w, train_z, hyper):
+    """Gradient of log_marginal with respect to (log A, log rho, log sigma)."""
+    _, g = _single(train_w, train_z, hyper)
+    # s = sigma^2 / A: d/dlog A at fixed sigma picks up -d/dlog s.
+    return np.array([g[0] - g[2], g[1], 2.0 * g[2]])
 
 
 def joint_log_marginal(charts, hyper):

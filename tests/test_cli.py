@@ -157,6 +157,15 @@ class TestDenoise:
                     "--delta", 0.6, "--d", 1,
                     "--out", tmp_path / "o.csv"]) == 3
 
+    def test_d_points_is_numerical_error(self, tmp_path):
+        # n = d: no epsilon-ball can hold more than d points.
+        path = tmp_path / "two.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(2, 3)),
+                   delimiter=",")
+        assert run(["denoise", "--in", path, "--epsilon", 10.0,
+                    "--delta", 20.0, "--d", 2,
+                    "--out", tmp_path / "o.csv"]) == 3
+
 
 class TestInterpolateAndEvaluate:
     def test_interpolate_row_count(self, tmp_path, pipeline):
@@ -354,6 +363,8 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["estimate-dim", "--in", "SMALL", "--eps-dm", "nan"],
         ["estimate-dim", "--in", "SMALL", "--eps-dm", "inf"],
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", "1e-200"],
+        ["estimate-dim", "--in", "SMALL", "--eps-dm", "1e200"],
         ["estimate-dim", "--in", "SMALL", "--eps-dm", 0.5,
          "--eps-grid", "nan"],
         ["estimate-dim", "--in", "SMALL", "--eps-dm", 0.5,
@@ -367,7 +378,8 @@ class TestBadInput:
         ["estimate-dim", "--in", "MISSING", "--eps-dm", 0.5],
         ["interpolate", "--trace", "MISSING", "--k", 2, "--out", "OUT"],
         ["generate", "--shape", "blob", "--n", 10, "--out", "OUT"],
-    ], ids=["eps-dm-nan", "eps-dm-inf", "eps-grid-nan", "eps-grid-inf",
+    ], ids=["eps-dm-nan", "eps-dm-inf", "eps-dm-1e-200", "eps-dm-1e200",
+            "eps-grid-nan", "eps-grid-inf",
             "embed-dims-0", "epsilon-nan", "delta-nan", "delta-inf",
             "tol-nan", "missing-in", "missing-trace", "shape-blob"])
     def test_exits_2(self, tmp_path, small_csv, noisy_csv, capsys, argv):

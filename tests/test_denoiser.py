@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from mrgap.denoiser import DenoiseConfig, denoise, denoise_round
-from mrgap.evaluation import grmse, grmse_analytic, plane
+from mrgap.evaluation import grmse
+from mrgap.interpolator import interpolate
 from mrgap.local_geometry import InsufficientNeighborsError, build_charts
 from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
+
+from .oracles import circle, grmse_analytic, plane
 
 
 def flat_plane_cloud(n=150, seed=0):
@@ -172,3 +175,46 @@ class TestDenoise:
         cloud = flat_plane_cloud()
         trace = denoise(cloud, CFG_PLANE)
         assert grmse_analytic(trace.clouds[-1], plane(2)).value <= 1e-6
+
+
+class TestAwkwardInputs:
+    def test_duplicates_denoise_like_their_originals(self):
+        # A copy has the same balls as its original, so the same chart.
+        noisy = add_gaussian_noise(gen_cassini(102, seed=0), NoiseSpec(0.04, 1))
+        cloud = PointCloud(np.vstack([noisy.points, noisy.points[:10]]))
+        trace = denoise(cloud, DenoiseConfig(epsilon=0.3, delta=0.6,
+                                             intrinsic_dim=1, max_iter=2,
+                                             sigma_tol=0.0))
+        assert trace.rounds == 2
+        out = trace.clouds[-1].points
+        np.testing.assert_array_equal(out[102:], out[:10])
+
+    def test_curve_of_codimension_one(self):
+        # D = d + 1: a noisy unit circle in the plane.
+        theta = np.random.default_rng(1).uniform(0, 2 * np.pi, 200)
+        clean = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]))
+        noisy = add_gaussian_noise(clean, NoiseSpec(0.05, 2))
+        cfg = DenoiseConfig(epsilon=0.3, delta=0.5, intrinsic_dim=1,
+                            max_iter=2)
+        trace = denoise(noisy, cfg)
+        dense = interpolate(trace, cfg, K=10)
+        before = grmse_analytic(noisy, circle(1.0)).value
+        assert grmse_analytic(trace.clouds[-1], circle(1.0)).value <= 0.5 * before
+        assert grmse_analytic(dense, circle(1.0)).value < before
+
+    def test_d_plus_one_points(self):
+        # n = d + 1 points span their own plane: nothing to remove.
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(3, 3)))
+        trace = denoise(cloud, DenoiseConfig(epsilon=10.0, delta=20.0,
+                                             intrinsic_dim=2, max_iter=3))
+        for c in trace.clouds:
+            assert np.all(np.isfinite(c.points))
+        for h in trace.hypers:
+            assert np.all(np.isfinite([h.A, h.rho, h.sigma]))
+        assert np.max(np.abs(trace.clouds[-1].points - cloud.points)) <= 1e-12
+
+    def test_d_points_is_an_error(self):
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(2, 3)))
+        with pytest.raises(InsufficientNeighborsError):
+            denoise(cloud, DenoiseConfig(epsilon=10.0, delta=20.0,
+                                         intrinsic_dim=2))

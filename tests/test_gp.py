@@ -10,14 +10,17 @@ from mrgap.gp import (
     default_init,
     fit_hyperparams,
     gram,
-    log_marginal,
-    log_marginal_gradient,
     predictive,
 )
 from mrgap.local_geometry import ChartRegression
 
 from .oracles import dense_log_marginal as dense_log_marginal_oracle
-from .oracles import joint_log_marginal, kernel
+from .oracles import (
+    joint_log_marginal,
+    kernel,
+    log_marginal,
+    log_marginal_gradient,
+)
 
 HYPER = GpHyperParams(A=1.3, rho=0.7, sigma=0.2)
 

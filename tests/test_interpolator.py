@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
-from mrgap.evaluation import grmse_analytic, plane
 from mrgap.interpolator import (
     DomainBall,
     estimate_domain_ball,
@@ -11,7 +10,7 @@ from mrgap.interpolator import (
 )
 from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
 
-from .oracles import interpolate_full_scan
+from .oracles import grmse_analytic, interpolate_full_scan, plane
 
 
 def flat_plane_trace(n=150, seed=0):

@@ -1,0 +1,45 @@
+"""The README's examples run as written, and its list of public names is
+mrgap's."""
+
+import re
+import shlex
+from pathlib import Path
+
+import mrgap
+from mrgap import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+PUBLIC = [
+    "PointCloud", "NoiseSpec", "load_csv", "save_csv", "gen_cassini",
+    "gen_torus", "gen_ellipsoid_embedded", "add_gaussian_noise",
+    "GpHyperParams", "DenoiseConfig", "DenoiseTrace", "denoise",
+    "interpolate", "grmse", "estimate_dimension",
+]
+
+
+def blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README, re.M | re.S)
+
+
+def test_command_line_example(tmp_path, monkeypatch):
+    (example,) = [b for b in blocks("sh") if b.startswith("mrgap ")]
+    monkeypatch.chdir(tmp_path)
+    for line in example.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "mrgap"
+        assert cli.main(argv[1:]) == 0, line
+    assert (tmp_path / "dense.csv").exists()
+
+
+def test_library_example(capsys):
+    (example,) = blocks("python")
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_public_names():
+    assert sorted(mrgap.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert hasattr(mrgap, name)
+        assert f"`{name}`" in README

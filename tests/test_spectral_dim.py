@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrgap import spectral_dim
 from mrgap.point_cloud import (
     NoiseSpec,
     PointCloud,
@@ -51,7 +52,7 @@ class TestGraphLaplacian:
             diffusion_embedding(PointCloud(np.zeros((1, 2))), 1.0, 0)
         with pytest.raises(ValueError):
             diffusion_embedding(PointCloud(np.zeros((3, 2))), 0.0, 1)
-        for eps in (np.nan, np.inf):
+        for eps in (-1.0, np.nan, np.inf, 1e-200, 1e200):
             with pytest.raises(ValueError, match="finite and positive"):
                 diffusion_embedding(PointCloud(np.zeros((3, 2))), eps, 1)
 
@@ -136,7 +137,7 @@ class TestMeanLocalEigenvalues:
         lam = mean_local_eigenvalues(noisy_ring(60, seed=8), 0.4)
         assert np.all(np.diff(lam) <= 1e-15)
 
-    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e200])
     def test_rejects_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="finite and positive"):
             mean_local_eigenvalues(noisy_ring(20), eps)
@@ -225,6 +226,14 @@ class TestEstimateDimension:
         assert not np.any(profile.lambda_bars[3])
         alone = estimate_dimension(cloud, eps_dm=1.0, embed_dims=[3, 4])
         assert profile.estimated_dim == alone.estimated_dim
+
+    def test_bad_eps_grid_fails_before_the_embedding(self, monkeypatch):
+        def embedding(*args):
+            raise AssertionError("the embedding ran")
+
+        monkeypatch.setattr(spectral_dim, "diffusion_embedding", embedding)
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_dimension(noisy_ring(20), 2.0, eps_grid=[np.nan])
 
     @pytest.mark.parametrize("dims", [[0], [3, 0], [-1, 4]])
     def test_rejects_embedding_dimension_below_one(self, dims):
