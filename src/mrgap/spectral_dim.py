@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg.blas import dspmv
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -29,10 +30,14 @@ __all__ = [
 # Bound on the entries of the arrays mean_local_eigenvalues builds for one
 # block of points (16 MB of float64).
 _BLOCK_ENTRIES = 2 ** 21
+# Bound on the distances diffusion_embedding computes for one block of
+# kernel rows (1 MB of float64).
+_KERNEL_BLOCK = 2 ** 17
 
 
 class DimensionEstimateError(RuntimeError):
-    """The dimension estimate has no answer: the eigensolver did not
+    """The dimension estimate has no answer: the cloud has fewer distinct
+    points than the diffusion eigenpairs it needs, the eigensolver did not
     converge, or no embedding dimension had a nonzero local spectrum to
     vote with."""
 
@@ -73,13 +78,21 @@ def diffusion_embedding(
     """First ell + 1 eigenpairs of -L in ascending order, L the
     density-normalized graph Laplacian (D^-1 W - I) / eps_dm^2.
 
-    W is the Gaussian kernel matrix with each entry divided by the product
-    of its row and column kernel degrees, and D holds the row sums of W.
-    D^-1 W is conjugate to S = D^-1/2 W D^-1/2, which is built in place in
-    one n x n buffer; its leading eigenpairs (nu, phi) come from Lanczos
-    iteration, and -L has eigenvalues (1 - nu) / eps_dm^2 and eigenvectors
-    D^-1/2 phi, l2-normalized.  Signs are fixed so each vector's
-    largest-magnitude entry is positive.
+    W is the Gaussian kernel matrix K with each entry divided by the
+    product of its row and column kernel degrees q, and D holds the row
+    sums of W.  D^-1 W is conjugate to S = D^-1/2 W D^-1/2 = C K C, C the
+    diagonal of c = D^-1/2 q^-1.  Only the upper triangle of K is stored,
+    in BLAS packed order (n(n+1)/2 float64, row i's entries i..n-1
+    contiguous); S is never formed, since each product S x is
+    c * (K (c * x)).  The leading eigenpairs (nu, phi) of S come from
+    Lanczos iteration started from all ones, and -L has eigenvalues
+    (1 - nu) / eps_dm^2 and eigenvectors D^-1/2 phi, l2-normalized.  Signs
+    are fixed so each vector's largest-magnitude entry is positive.
+
+    Raises ValueError when n(n+1)/2 reaches 2^31, the index limit of the
+    32-bit BLAS, and DimensionEstimateError when the cloud has fewer than
+    ell + 1 distinct points: S then has rank below ell + 1, and the pairs
+    beyond its rank would be an arbitrary basis of its null space.
     """
     n = cloud.n
     if n < 2:
@@ -87,17 +100,41 @@ def diffusion_embedding(
     _check_bandwidth(eps_dm, "eps_dm")
     if not 0 <= ell < n:
         raise ValueError("ell must satisfy 0 <= ell < n")
-    S = cdist(cloud.points, cloud.points, "sqeuclidean")
-    np.negative(S, out=S)
-    S /= eps_dm ** 2
-    np.exp(S, out=S)
-    q = S.sum(axis=1)
-    S /= q[:, None]
-    S /= q[None, :]
-    s = 1.0 / np.sqrt(S.sum(axis=1))
-    S *= s[:, None]
-    S *= s[None, :]
+    size = n * (n + 1) // 2
+    if size >= 2 ** 31:
+        raise ValueError(f"{n} points are too many: the packed kernel's "
+                         f"n(n+1)/2 entries must be fewer than 2^31")
     k = ell + 1
+    pts = cloud.points
+    distinct = len(np.unique(pts, axis=0))
+    if distinct < k:
+        raise DimensionEstimateError(
+            f"the cloud has {distinct} distinct points, fewer than the "
+            f"{k} diffusion eigenpairs asked for"
+        )
+    # Squared distances first, a block of rows at a time; row i of the
+    # upper triangle starts at entry i n - i (i - 1) / 2.
+    K = np.empty(size)
+    a = 0
+    while a < n:
+        b = min(n, a + max(1, _KERNEL_BLOCK // (n - a)))
+        d2 = cdist(pts[a:b], pts[a:], "sqeuclidean")
+        K[a * n - a * (a - 1) // 2 : b * n - b * (b - 1) // 2] = d2[
+            np.arange(n - a) >= np.arange(b - a)[:, None]]
+        a = b
+    np.negative(K, out=K)
+    K /= eps_dm ** 2
+    np.exp(K, out=K)
+
+    def kernel_times(x):
+        # Row-major packed upper storage is BLAS's column-major packed lower.
+        return dspmv(n, 1.0, K, x, lower=1)
+
+    q = kernel_times(np.ones(n))
+    s = 1.0 / np.sqrt(kernel_times(1.0 / q) / q)
+    c = s / q
+    S = LinearOperator((n, n), dtype=float,
+                       matvec=lambda x: c * kernel_times(c * np.ravel(x)))
     if k < n:
         try:
             nu, phi = eigsh(S, k=k, which="LA", tol=0, v0=np.ones(n))
@@ -108,7 +145,7 @@ def diffusion_embedding(
             ) from exc
     else:
         # ARPACK finds at most n - 1 pairs; all n come from the dense solver.
-        nu, phi = np.linalg.eigh(S)
+        nu, phi = np.linalg.eigh(S.matmat(np.eye(n)))
     order = np.argsort(nu)[::-1][:k]
     V = phi[:, order] * s[:, None]
     V /= np.linalg.norm(V, axis=0, keepdims=True)
@@ -188,8 +225,9 @@ def estimate_dimension(
     from balls that hold only their own point, casts no vote.  The default
     bandwidth for embedding dimension m is 0.3 + 0.1 * (m - 2).
 
-    Raises DimensionEstimateError when no spectrum votes or the eigensolver
-    does not converge.
+    Raises DimensionEstimateError when the cloud has fewer than
+    max(embed_dims) + 1 distinct points, when no spectrum votes or when the
+    eigensolver does not converge.
     """
     if embed_dims is None:
         embed_dims = [3, 4, 5, 6]

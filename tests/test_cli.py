@@ -331,6 +331,15 @@ class TestEstimateDim:
                     "--embed-dims", "5,6"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_too_few_distinct_points_is_numerical_error(self, tmp_path,
+                                                        capsys):
+        # 10 copies of one point cannot give the 7 diffusion eigenpairs
+        # that embedding dimensions up to 6 need
+        path = tmp_path / "same.csv"
+        np.savetxt(path, np.ones((10, 3)), delimiter=",")
+        assert run(["estimate-dim", "--in", path, "--eps-dm", 1.0]) == 3
+        assert "1 distinct points, fewer than the 7" in capsys.readouterr().err
+
     def test_eigensolver_failure_is_numerical_error(self, tmp_path,
                                                     monkeypatch):
         def no_convergence(*args, **kwargs):

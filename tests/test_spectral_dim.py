@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,24 +92,81 @@ class TestDiffusionEmbedding:
         with pytest.raises(ValueError):
             diffusion_embedding(noisy_ring(20), 0.6, 20)
 
-    @pytest.mark.parametrize("case", ["ring", "ellipsoid", "seven_points"])
-    def test_matches_dense_oracle(self, case):
+    @pytest.mark.parametrize("case", ["ring", "ellipsoid", "one_row_blocks",
+                                      "eight_points", "seven_points"])
+    def test_matches_dense_oracle(self, case, monkeypatch):
         # Lanczos pairs against the full eigendecomposition of the
-        # detailed-balance symmetrization; seven points ask for all 7 pairs,
-        # more than Lanczos iteration delivers
-        if case == "ring":
+        # detailed-balance symmetrization.  The ellipsoid's 800 points fill
+        # the packed kernel in four row blocks of at most 2^17 entries, the
+        # last one partial (129 of 1016 rows); with 100-entry blocks the
+        # ring's first 20 blocks hold one row each.  Eight points are the
+        # fewest Lanczos iteration takes for 7 pairs; seven points ask for
+        # all 7 pairs, more than Lanczos iteration delivers.
+        if case in ("ring", "one_row_blocks"):
             cloud, eps = noisy_ring(120, seed=2), 0.5
         elif case == "ellipsoid":
             clean = gen_ellipsoid_embedded(800, 30, 0)
             cloud, eps = add_gaussian_noise(clean, NoiseSpec(0.05, 100)), 2.0
         else:
-            cloud = PointCloud(np.random.default_rng(0).normal(size=(7, 3)))
+            n = 8 if case == "eight_points" else 7
+            cloud = PointCloud(np.random.default_rng(0).normal(size=(n, 3)))
             eps = 1.0
+        if case == "one_row_blocks":
+            monkeypatch.setattr(spectral_dim, "_KERNEL_BLOCK", 100)
         spec = diffusion_embedding(cloud, eps, 6)
         mu, V = oracles.diffusion_embedding(
             oracles.graph_laplacian(cloud, eps), 6)
         np.testing.assert_allclose(spec.eigenvalues, mu, rtol=0, atol=1e-12)
         np.testing.assert_allclose(spec.eigenvectors, V, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def copies(m):
+        # 10 copies of each of m random points
+        pts = np.random.default_rng(m).normal(size=(m, 3))
+        return PointCloud(np.repeat(pts, 10, axis=0))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_too_few_distinct_points(self, m):
+        # 7 pairs of an operator of rank m < 7: the pairs beyond the m-th
+        # would be an arbitrary, run-dependent basis of its null space
+        with pytest.raises(DimensionEstimateError,
+                           match=f"{m} distinct points, fewer than the 7"):
+            diffusion_embedding(self.copies(m), 1.0, 6)
+
+    def test_as_many_distinct_points_as_pairs(self):
+        cloud = self.copies(7)
+        a = diffusion_embedding(cloud, 1.0, 6)
+        b = diffusion_embedding(cloud, 1.0, 6)
+        np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
+        mu, V = oracles.diffusion_embedding(
+            oracles.graph_laplacian(cloud, 1.0), 6)
+        np.testing.assert_allclose(a.eigenvalues, mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.eigenvectors, V, rtol=0, atol=1e-10)
+
+    def test_rejects_more_points_than_32_bit_blas_indexes(self,
+                                                          monkeypatch):
+        # 65536 points have 2^31 + 2^15 packed kernel entries; the check
+        # comes before any of them is computed
+        def cdist(*args):
+            raise AssertionError("the kernel build started")
+
+        monkeypatch.setattr(spectral_dim, "cdist", cdist)
+        cloud = PointCloud(np.arange(65536.0)[:, None])
+        with pytest.raises(ValueError, match="2\\^31"):
+            diffusion_embedding(cloud, 1.0, 6)
+
+    def test_peak_memory_is_about_half_a_dense_kernel(self):
+        # the packed upper triangle is 0.5 x 8 n^2 bytes; a dense n x n
+        # kernel alone would be 1.0 x
+        n = 2000
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            diffusion_embedding(cloud, 1.0, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.65 * 8 * n * n
 
 
 class TestMeanLocalEigenvalues:
