@@ -59,9 +59,10 @@ def _encode_cloud(cloud: PointCloud) -> dict:
 
 
 def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
-    """The trace document: config, fitted hyperparameters, sigma history,
-    last-round variances, and only the last two clouds, which is all that
-    interpolate reads."""
+    """The trace document: config, fitted hyperparameters, last-round
+    variances, and only the last two clouds, which is all that interpolate
+    reads.  rounds and sigma_history are derived from the hyperparameters,
+    written for readers of the file and never read back."""
     return {
         "schema": TRACE_SCHEMA,
         "config": {
@@ -139,7 +140,8 @@ def _decode_cloud(doc, where: str) -> PointCloud:
 
 def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     """The trace and config of a schema-2 document.  A missing or
-    ill-typed field raises CliError naming it."""
+    ill-typed field raises CliError naming it.  rounds and sigma_history
+    are not read: the hyperparameters determine them."""
     if not isinstance(doc, dict):
         raise CliError("trace: not a JSON object")
     if doc.get("schema") != TRACE_SCHEMA:
@@ -168,7 +170,6 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
             raise CliError(f"trace: field {where!r}: {exc}") from exc
     if not hypers:
         raise CliError("trace: field 'hypers' is empty")
-    sigma_history = _numbers(doc, "sigma_history")
     variances = _numbers(doc, "predictive_variances")
     encoded = _field(doc, "clouds", "list")
     if len(encoded) != 2:
@@ -177,22 +178,22 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     clouds = [_decode_cloud(c, f"clouds[{i}]") for i, c in enumerate(encoded)]
     if clouds[0].points.shape != clouds[1].points.shape:
         raise CliError("trace: field 'clouds': the two shapes differ")
-    trace = DenoiseTrace(
-        clouds=clouds,
-        hypers=hypers,
-        sigma_history=sigma_history,
-        predictive_variances=variances,
-    )
-    return trace, config
+    if len(variances) != clouds[1].n:
+        raise CliError(f"trace: field 'predictive_variances' holds "
+                       f"{len(variances)} values, the clouds {clouds[1].n} "
+                       f"points")
+    return DenoiseTrace(clouds, hypers, variances), config
 
 
 def cmd_generate(args) -> int:
     gen = _GENERATORS[args.shape]
     noise = NoiseSpec(args.sigma, args.seed + 1)
-    if args.shape == "ellipsoid":
-        clean = gen(args.n, args.ambient_dim, args.seed)
-    else:
-        clean = gen(args.n, args.seed)
+    extra = {}
+    if args.ambient_dim is not None:
+        if args.shape != "ellipsoid":
+            raise ValueError("--ambient-dim applies only to --shape ellipsoid")
+        extra["ambient_dim"] = args.ambient_dim
+    clean = gen(args.n, seed=args.seed, **extra)
     base, ext = os.path.splitext(args.out)
     clean_path = args.out if noise.sigma == 0 else f"{base}_clean{ext}"
     save_csv(clean, clean_path)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--sigma", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--ambient-dim", type=int, default=30)
+    g.add_argument("--ambient-dim", type=int, help="ellipsoid only")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

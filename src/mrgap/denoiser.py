@@ -18,8 +18,6 @@ from . import gp
 from .local_geometry import build_charts, check_radii
 from .point_cloud import PointCloud
 
-__all__ = ["DenoiseConfig", "DenoiseTrace", "denoise_round", "denoise"]
-
 
 @dataclass(frozen=True)
 class DenoiseConfig:
@@ -51,12 +49,15 @@ class DenoiseTrace:
 
     clouds: list[PointCloud]
     hypers: list[gp.GpHyperParams]
-    sigma_history: list[float]
     predictive_variances: list[float] = field(default_factory=list)
 
     @property
     def rounds(self) -> int:
         return len(self.hypers)
+
+    @property
+    def sigma_history(self) -> list[float]:
+        return [h.sigma for h in self.hypers]
 
 
 def denoise_round(
@@ -84,26 +85,20 @@ def denoise(cloud: PointCloud, config: DenoiseConfig) -> DenoiseTrace:
     max_iter is reached, recording every intermediate cloud."""
     clouds = [cloud]
     hypers: list[gp.GpHyperParams] = []
-    sigma_history: list[float] = []
     variances: list[float] = []
-    warm = None
     tol = config.sigma_tol
     for _ in range(config.max_iter):
-        new_cloud, hyper, var = denoise_round(clouds[-1], config, warm)
+        new_cloud, hyper, var = denoise_round(
+            clouds[-1], config, hypers[-1] if hypers else None)
         clouds.append(new_cloud)
         hypers.append(hyper)
-        sigma_history.append(hyper.sigma)
         variances = list(var)
-        warm = hyper
         if tol is None:
-            tol = 0.05 * sigma_history[0]
-        if len(sigma_history) >= 2 and abs(
-            sigma_history[-1] - sigma_history[-2]
-        ) <= tol:
+            tol = 0.05 * hypers[0].sigma
+        if len(hypers) >= 2 and abs(hypers[-1].sigma - hypers[-2].sigma) <= tol:
             break
     return DenoiseTrace(
         clouds=clouds,
         hypers=hypers,
-        sigma_history=sigma_history,
         predictive_variances=variances,
     )

@@ -9,12 +9,6 @@ from scipy.spatial import cKDTree
 
 from .point_cloud import PointCloud
 
-__all__ = [
-    "GrmseReport",
-    "grmse",
-    "dists_to_set",
-]
-
 
 @dataclass(frozen=True)
 class GrmseReport:

@@ -39,16 +39,6 @@ from scipy.spatial.distance import cdist
 
 from .local_geometry import ChartRegression
 
-__all__ = [
-    "GpHyperParams",
-    "PredictiveGaussian",
-    "FactorizationError",
-    "OptimizationError",
-    "gram",
-    "predictive",
-    "fit_hyperparams",
-]
-
 SIGMA_FLOOR = 1e-9
 _LOG_2PI = np.log(2.0 * np.pi)
 # Bound on |log A| for the profiled maximizer A*; with SIGMA_FLOOR it also
@@ -293,8 +283,12 @@ class _ChartStack:
         if len({z.shape[1] for _, z in pairs}) > 1:
             raise ValueError("charts disagree in response dimension")
         self.q = q
+        self.zz = 0.0  # sum of |Z_k|^2, added in chart order
+        for _, z in pairs:
+            self.zz += float(np.sum(z ** 2))
         sizes = np.array([w.shape[0] for w, _ in pairs])
         self.N = int(sizes.sum())
+        self.pair_count = int(np.sum(sizes * (sizes - 1) // 2))
         padded = -(-sizes // _BUCKET) * _BUCKET
         self.buckets = []
         for n in np.unique(padded):
@@ -309,6 +303,23 @@ class _ChartStack:
     def of_charts(cls, charts: list[ChartRegression]) -> "_ChartStack":
         return cls([(c.predictors, c.responses) for c in charts],
                    charts[0].codim)
+
+    def default_start(self) -> GpHyperParams:
+        """Scale-aware starting point: A the mean square response, rho the
+        median squared distance between two predictors of a chart, sigma
+        a tenth of the signal scale."""
+        # One buffer, filled bucket by bucket and partitioned in place: a
+        # list of pieces, their concatenation and median's copy, all next
+        # to the stack, raised the torus fit's peak memory by ~1 MB.
+        sq, at = np.empty(self.pair_count), 0
+        for b in self.buckets:
+            i, j = np.triu_indices(b.sq.shape[1], k=1)
+            real = b.real > 0
+            v = b.sq[:, i, j][real[:, i] & real[:, j]]
+            sq[at:at + v.size], at = v, at + v.size
+        rho = float(np.median(sq, overwrite_input=True)) if sq.size else 1.0
+        A = max(self.zz / (self.q * self.N), 1e-12)
+        return GpHyperParams(A=A, rho=max(rho, 1e-12), sigma=0.1 * np.sqrt(A))
 
     def stats(self, rho: float, s: float) -> _Stats:
         T = logdet = 0.0
@@ -349,25 +360,6 @@ def _value_grad(st: _Stats, A: float) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def default_init(charts: list[ChartRegression]) -> GpHyperParams:
-    """Scale-aware starting point: A from response variance, rho from
-    predictor spread, sigma at a tenth of the signal scale."""
-    var_sum, var_cnt = 0.0, 0
-    sq_all = []
-    for chart in charts:
-        var_sum += float(np.sum(chart.responses ** 2))
-        var_cnt += chart.responses.shape[0] * chart.codim
-        w = chart.predictors
-        if w.shape[0] > 1:
-            sq = cdist(w, w, "sqeuclidean")
-            sq_all.append(sq[np.triu_indices_from(sq, k=1)])
-    A = var_sum / var_cnt if var_cnt else 1.0
-    A = max(A, 1e-12)
-    rho = float(np.median(np.concatenate(sq_all))) if sq_all else 1.0
-    rho = max(rho, 1e-12)
-    return GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
-
-
 def fit_hyperparams(
     charts: list[ChartRegression],
     init: GpHyperParams | None = None,
@@ -375,18 +367,18 @@ def fit_hyperparams(
     """Maximize the joint log marginal likelihood over (A, rho, sigma).
 
     A is profiled out; L-BFGS searches (log rho, log s), s = sigma^2 / A,
-    from the supplied init and from rho x10, /10 and s x100, /100.
+    from the init (by default the chart stack's default_start) and from
+    rho x10, /10 and s x100, /100.
     Deterministic, and the returned point is never worse than the init
     nor than any start's optimum.
     """
     if not charts:
         raise ValueError("charts list is empty")
-    if init is None:
-        init = default_init(charts)
-    init = GpHyperParams(init.A, init.rho, max(init.sigma, SIGMA_FLOOR))
     stack = _ChartStack.of_charts(charts)
     if not stack.N:
         raise OptimizationError("all charts are empty")
+    init = init or stack.default_start()
+    init = GpHyperParams(init.A, init.rho, max(init.sigma, SIGMA_FLOOR))
     # Scaled by qN so that the optimizer's tolerances do not depend on the
     # data size: unscaled, starts stopped after two evaluations at rho -> 0.
     qN = stack.q * stack.N

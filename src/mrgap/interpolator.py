@@ -20,13 +20,6 @@ from .denoiser import DenoiseConfig, DenoiseTrace
 from .local_geometry import build_charts
 from .point_cloud import PointCloud
 
-__all__ = [
-    "DomainBall",
-    "estimate_domain_ball",
-    "sample_ball_uniform",
-    "interpolate",
-]
-
 
 @dataclass(frozen=True)
 class DomainBall:

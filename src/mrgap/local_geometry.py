@@ -18,13 +18,6 @@ from scipy.spatial import cKDTree
 
 from .point_cloud import PointCloud
 
-__all__ = [
-    "ChartRegression",
-    "InsufficientNeighborsError",
-    "build_charts",
-    "check_radii",
-]
-
 
 class InsufficientNeighborsError(ValueError):
     """Raised when a bandwidth ball contains too few points to fit a chart."""

@@ -7,18 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PointCloud",
-    "NoiseSpec",
-    "CsvFormatError",
-    "load_csv",
-    "save_csv",
-    "gen_cassini",
-    "gen_torus",
-    "gen_ellipsoid_embedded",
-    "add_gaussian_noise",
-]
-
 # All randomness goes through numpy's PCG64 generator seeded explicitly,
 # so every stochastic operation is reproducible from its seed argument.
 
@@ -69,15 +57,6 @@ class NoiseSpec:
                 f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
-def _looks_numeric(row: list[str]) -> bool:
-    try:
-        for cell in row:
-            float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def _bad_row(path, rows: list[str], start: int) -> CsvFormatError | None:
     """The error naming the first ragged or non-numeric row of rows[start:],
     if float() finds one."""
@@ -110,7 +89,7 @@ def load_csv(path) -> PointCloud:
         rows = [line for line in fh if line != "\n"]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
-    start = 0 if _looks_numeric(next(csv.reader(rows[:1]))) else 1
+    start = 0 if _bad_row(path, rows[:1], 0) is None else 1
     if start == len(rows):
         raise CsvFormatError(f"{path}: header only, no data rows")
     # numpy's C parser reads the rows; a row it rejects is then found

@@ -18,15 +18,6 @@ from scipy.spatial.distance import cdist
 
 from .point_cloud import PointCloud
 
-__all__ = [
-    "DiffusionSpectrum",
-    "DimensionProfile",
-    "DimensionEstimateError",
-    "diffusion_embedding",
-    "mean_local_eigenvalues",
-    "estimate_dimension",
-]
-
 # Bound on the entries of the arrays mean_local_eigenvalues builds for one
 # block of points (16 MB of float64).
 _BLOCK_ENTRIES = 2 ** 21

@@ -14,6 +14,7 @@ The last helpers are test-only compositions of mrgap's own kernels:
   gp._ChartStack and gp._value_grad, taking q from the width of z;
 - joint_log_marginal: the summed likelihood of a list of charts, the
   same way;
+- default_init: the fit's default start, computed chart by chart;
 - sandwich_gap_check: grmse against grmse_analytic.
 """
 
@@ -293,6 +294,25 @@ def joint_log_marginal(charts, hyper):
     stack = gp._ChartStack.of_charts(charts)
     st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
     return float(gp._value_grad(st, hyper.A)[0])
+
+
+def default_init(charts):
+    """Scale-aware starting point: A from response variance, rho from
+    predictor spread, sigma at a tenth of the signal scale."""
+    var_sum, var_cnt = 0.0, 0
+    sq_all = []
+    for chart in charts:
+        var_sum += float(np.sum(chart.responses ** 2))
+        var_cnt += chart.responses.shape[0] * chart.codim
+        w = chart.predictors
+        if w.shape[0] > 1:
+            sq = cdist(w, w, "sqeuclidean")
+            sq_all.append(sq[np.triu_indices_from(sq, k=1)])
+    A = var_sum / var_cnt if var_cnt else 1.0
+    A = max(A, 1e-12)
+    rho = float(np.median(np.concatenate(sq_all))) if sq_all else 1.0
+    rho = max(rho, 1e-12)
+    return gp.GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
 
 
 def sandwich_gap_check(eval_set, reference_on_manifold, analytic_manifold, r):

@@ -10,7 +10,7 @@ from mrgap.cli import main
 from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
 from mrgap.gp import GpHyperParams
 from mrgap.interpolator import interpolate
-from mrgap.point_cloud import PointCloud, load_csv
+from mrgap.point_cloud import PointCloud, gen_ellipsoid_embedded, load_csv
 
 
 def run(args):
@@ -50,6 +50,25 @@ class TestGenerate:
         assert run(["generate", "--shape", "ellipsoid", "--n", 10,
                     "--ambient-dim", 10, "--out", tmp_path / "e.csv"]) == 2
         assert "ambient_dim must be >= 16" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, kwargs", [
+        ([], {}), (["--ambient-dim", 20], {"ambient_dim": 20})])
+    def test_ellipsoid_ambient_dim_passed_on_only_when_given(self, tmp_path,
+                                                             flag, kwargs):
+        out = tmp_path / "e.csv"
+        assert run(["generate", "--shape", "ellipsoid", "--n", 30,
+                    "--seed", 2, *flag, "--out", out]) == 0
+        np.testing.assert_array_equal(
+            load_csv(str(out)).points,
+            gen_ellipsoid_embedded(30, seed=2, **kwargs).points)
+
+    @pytest.mark.parametrize("shape", ["cassini", "torus"])
+    def test_ambient_dim_of_other_shapes_is_input_error(self, tmp_path,
+                                                        capsys, shape):
+        assert run(["generate", "--shape", shape, "--n", 10,
+                    "--ambient-dim", 7, "--out", tmp_path / "x.csv"]) == 2
+        assert "--ambient-dim" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("sigma", ["-0.1", "nan", "inf"])
@@ -127,8 +146,7 @@ class TestDenoise:
         clouds = [PointCloud(rng.normal(size=(n, D))) for _ in range(5)]
         hypers = [GpHyperParams(A=1e-3, rho=0.4, sigma=5e-3 + i * 1e-4)
                   for i in range(4)]
-        synthetic = DenoiseTrace(clouds, hypers, [h.sigma for h in hypers],
-                                 list(rng.uniform(size=n)))
+        synthetic = DenoiseTrace(clouds, hypers, list(rng.uniform(size=n)))
         monkeypatch.setattr(cli, "denoise", lambda cloud, config: synthetic)
         path = tmp_path / "wide.csv"
         np.savetxt(path, clouds[0].points, delimiter=",", fmt="%.17g")
@@ -264,9 +282,10 @@ class TestInterpolateAndEvaluate:
         ("hypers", lambda doc: doc.update(hypers=[])),
         ("hypers[1].rho", lambda doc: doc["hypers"][1].pop("rho")),
         ("hypers[0]", lambda doc: doc["hypers"][0].update(A=-1.0)),
-        ("sigma_history", lambda doc: doc.update(sigma_history=None)),
         ("predictive_variances[3]",
          lambda doc: doc["predictive_variances"].__setitem__(3, "x")),
+        ("predictive_variances",
+         lambda doc: doc.update(predictive_variances=[0.5])),
         ("clouds", lambda doc: doc["clouds"].pop()),
         ("clouds[0].shape", lambda doc: doc["clouds"][0].update(shape=[306])),
         ("clouds[0].shape",
@@ -290,6 +309,26 @@ class TestInterpolateAndEvaluate:
         assert run(["interpolate", "--trace", bad, "--k", 2,
                     "--out", tmp_path / "o.csv"]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(sigma_history=None),
+        lambda doc: doc.update(sigma_history=[-1.0, 0.5, 2.0]),
+    ])
+    def test_sigma_history_is_not_read(self, tmp_path, pipeline, edit):
+        # sigma_history is derived from hypers, so the file's copy is
+        # written for readers only and never trusted.
+        _, _, _, trace = pipeline
+        doc = json.loads(trace.read_text())
+        edit(doc)
+        back, _ = cli.trace_from_json(doc)
+        assert back.sigma_history == [h.sigma for h in back.hypers]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, out in zip((trace, edited), outs):
+            assert run(["interpolate", "--trace", path, "--k", 3,
+                        "--seed", 1, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("doc", [[], {"schema": 2}])
     def test_trace_without_fields_is_input_error(self, tmp_path, capsys, doc):

@@ -7,15 +7,16 @@ from mrgap.gp import (
     SIGMA_FLOOR,
     FactorizationError,
     GpHyperParams,
-    default_init,
     fit_hyperparams,
     gram,
     predictive,
 )
-from mrgap.local_geometry import ChartRegression
+from mrgap.local_geometry import ChartRegression, build_charts
+from mrgap.point_cloud import NoiseSpec, add_gaussian_noise, gen_cassini, gen_torus
 
 from .oracles import dense_log_marginal as dense_log_marginal_oracle
 from .oracles import (
+    default_init,
     joint_log_marginal,
     kernel,
     log_marginal,
@@ -35,6 +36,15 @@ def make_chart(w, z, Q=None):
         base=np.zeros(D), U=Q[:, :d], predictors=w, responses=z @ Q[:, d:].T,
         member_indices=np.arange(w.shape[0]),
     )
+
+
+def rotated_chart():
+    """A chart whose responses have D = 4 columns in a rotated frame but
+    only q = 2 normal directions, with its normal coordinates z."""
+    rng = np.random.default_rng(7)
+    Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    w, z = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    return make_chart(w, z, Q), w, z
 
 
 def normal_part(chart):
@@ -304,19 +314,15 @@ class TestJointAndFit:
         )
 
     def test_ambient_responses_count_normal_directions(self):
-        # In a rotated frame the responses have D = 4 columns but only
-        # q = 2 normal directions; the likelihood and the default init
-        # must equal those of the normal coordinates.
-        rng = np.random.default_rng(7)
-        Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        w, z = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        chart = make_chart(w, z, Q)
+        # The likelihood and the default start of a rotated chart must
+        # equal those of its normal coordinates.
+        chart, w, z = rotated_chart()
         assert chart.codim == 2
         np.testing.assert_allclose(joint_log_marginal([chart], HYPER),
                                    dense_log_marginal_oracle(w, z, HYPER),
                                    rtol=1e-10)
-        np.testing.assert_allclose(default_init([chart]).A, np.mean(z ** 2),
-                                   rtol=1e-12)
+        start = gp._ChartStack.of_charts([chart]).default_start()
+        np.testing.assert_allclose(start.A, np.mean(z ** 2), rtol=1e-12)
 
     def test_fit_improves_objective(self):
         charts = self._charts(3)
@@ -581,3 +587,24 @@ class TestStackedKernel:
         assert joint_log_marginal(charts, fitted) >= \
             joint_log_marginal(charts, init)
         assert made and np.all(np.isfinite(made))
+
+
+def noisy_charts(gen, n, sigma, epsilon, delta, d):
+    cloud = add_gaussian_noise(gen(n, seed=7), NoiseSpec(sigma, 8))
+    return build_charts(cloud, epsilon, delta, d)
+
+
+@pytest.mark.parametrize("charts", [
+    pytest.param(lambda: noisy_charts(gen_cassini, 102, 0.04, 0.3, 0.6, 1),
+                 id="cassini"),
+    pytest.param(lambda: noisy_charts(gen_torus, 558, 0.12, 0.8, 1.0, 2),
+                 id="torus"),
+    pytest.param(lambda: mixed_charts(23), id="one-row-and-empty"),
+    pytest.param(lambda: [rotated_chart()[0]], id="rotated"),
+])
+def test_default_start_equals_chart_by_chart_oracle(charts):
+    # The stack reuses the squared distances it keeps for the likelihood;
+    # the start must be bitwise the one computed chart by chart.
+    charts = charts()
+    assert gp._ChartStack.of_charts(charts).default_start() == \
+        default_init(charts)

@@ -69,8 +69,7 @@ class TestDomainBall:
         trace, cfg = flat_plane_trace()
         cloud = PointCloud(np.vstack([trace.clouds[-2].points,
                                       np.tile([10.0, 10.0, 0.0], (3, 1))]))
-        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
-                             sigma_history=trace.sigma_history)
+        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers)
         with pytest.warns(UserWarning, match="degenerate domain"):
             out, idx = interpolate(trace, cfg, K=2, seed=0,
                                    return_chart_index=True)
@@ -159,7 +158,6 @@ class TestInterpolate:
     def test_rejects_short_trace(self):
         trace, cfg = flat_plane_trace()
         short = DenoiseTrace(clouds=trace.clouds[:1], hypers=trace.hypers,
-                             sigma_history=trace.sigma_history,
                              predictive_variances=trace.predictive_variances)
         with pytest.raises(ValueError):
             interpolate(short, cfg, K=2)
@@ -194,8 +192,7 @@ class TestGlueLookup:
         trace, cfg = flat_plane_trace()
         cloud = PointCloud(np.vstack([np.tile([10.0, 10.0, 0.0], (3, 1)),
                                       trace.clouds[-2].points]))
-        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
-                             sigma_history=trace.sigma_history)
+        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers)
         with pytest.warns(UserWarning, match="degenerate domain"):
             idx = assert_matches_full_scan(trace, cfg, K=3, seed=1)
         assert idx.min() == 3

@@ -1,6 +1,8 @@
 """The README's examples run as written, and its list of public names is
 mrgap's."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -43,3 +45,11 @@ def test_public_names():
     for name in PUBLIC:
         assert hasattr(mrgap, name)
         assert f"`{name}`" in README
+
+
+def test_only_the_package_lists_exports():
+    # mrgap.__all__ is the one export list; a submodule's would be a
+    # second copy to keep in step by hand.
+    for info in pkgutil.iter_modules(mrgap.__path__):
+        module = importlib.import_module(f"mrgap.{info.name}")
+        assert not hasattr(module, "__all__"), info.name
