@@ -249,13 +249,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _list(text: str | None, kind) -> list | None:
+    """A comma-separated option: None when not given, [] when empty."""
+    if text is None:
+        return None
+    return [kind(x) for x in text.split(",")] if text else []
+
+
 def cmd_estimate_dim(args) -> int:
     cloud = load_csv(args.input)
-    embed_dims = [int(x) for x in args.embed_dims.split(",")] \
-        if args.embed_dims else None
-    eps_grid = [float(x) for x in args.eps_grid.split(",")] \
-        if args.eps_grid else None
-    profile = estimate_dimension(cloud, args.eps_dm, embed_dims, eps_grid)
+    profile = estimate_dimension(cloud, args.eps_dm,
+                                 _list(args.embed_dims, int),
+                                 _list(args.eps_grid, float))
     print(profile.estimated_dim)
     if args.profile_out:
         width = max(len(lam) for lam in profile.lambda_bars)

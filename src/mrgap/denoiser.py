@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gp
 from .local_geometry import build_charts, check_radii
-from .point_cloud import PointCloud
+from .point_cloud import PointCloud, _check_count
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,8 @@ class DenoiseConfig:
         check_radii(self.epsilon, self.delta)
         if self.sigma_tol is not None and not 0 <= self.sigma_tol < np.inf:
             raise ValueError("sigma_tol must be finite and nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.intrinsic_dim < 1:
-            raise ValueError("intrinsic_dim must be >= 1")
+        _check_count(self.max_iter, "max_iter")
+        _check_count(self.intrinsic_dim, "intrinsic_dim")
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,8 @@ class DenoiseTrace:
     interpolator consumes clouds[-2] together with hypers[-1].  A trace
     read from a file (mrgap.cli.trace_from_json) holds only its last two
     clouds, clouds[-2] and clouds[-1]; its other fields are complete.
+    predictive_variances[k] is the last round's posterior variance at the
+    base of chart k, the point its displacement was predicted at.
     """
 
     clouds: list[PointCloud]
@@ -74,9 +74,10 @@ def denoise_round(
     new_pts = np.empty_like(cloud.points)
     variances = np.empty(cloud.n)
     for k, chart in enumerate(charts):
-        post = gp.predictive(chart.predictors, chart.responses, origin, hyper)
-        new_pts[k] = cloud.points[k] + post.mean[0]
-        variances[k] = post.covariance[0, 0]
+        mean, var = gp.predictive(chart.predictors, chart.responses, origin,
+                                  hyper)
+        new_pts[k] = cloud.points[k] + mean[0]
+        variances[k] = var[0]
     return PointCloud(new_pts), hyper, variances
 
 

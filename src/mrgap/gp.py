@@ -81,19 +81,6 @@ class GpHyperParams:
             raise ValueError("sigma must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class PredictiveGaussian:
-    """Posterior over m test points shared across q output dimensions."""
-
-    mean: np.ndarray  # (m, q)
-    covariance: np.ndarray  # (m, m)
-
-
-def gram(points: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _cross_gram(points, points, hyper)
-
-
 def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
     """A exp(-||a_i - b_j||^2 / rho), built in place in one buffer."""
     K = cdist(a, b, "sqeuclidean")
@@ -196,22 +183,11 @@ def predictive(
     train_z: np.ndarray,
     test_u: np.ndarray,
     hyper: GpHyperParams,
-) -> PredictiveGaussian:
-    """Posterior mean and covariance at test inputs by block conditioning."""
-    train_w = np.atleast_2d(np.asarray(train_w, dtype=float))
-    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
-    test_u = np.atleast_2d(np.asarray(test_u, dtype=float))
-    m = test_u.shape[0]
-    s4 = gram(test_u, hyper)
-    if train_w.shape[0] == 0:
-        return PredictiveGaussian(
-            mean=np.zeros((m, train_z.shape[1])), covariance=s4
-        )
-    if train_w.shape[0] != train_z.shape[0]:
-        raise ValueError("training inputs and responses disagree in count")
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean (m, q) and variance (m,), GPML eqs. 2.25-2.26."""
 
     def train_cov():
-        K = gram(train_w, hyper)
+        K = _cross_gram(train_w, train_w, hyper)
         K[np.diag_indices_from(K)] += hyper.sigma ** 2
         return K
 
@@ -219,17 +195,14 @@ def predictive(
     s3 = _cross_gram(test_u, train_w, hyper)
     # The solves take the m columns of s3^T, never the q of the responses,
     # which may be hundreds: mean = W^T z with W = K^-1 s3^T, and
-    # cov = s4 - V^T V with V = L^-1 s3^T.  Both products use SciPy's BLAS,
-    # as _factor does, for the reason given there; train_z.T and the
-    # solves' results are Fortran-ordered, so dgemm copies neither.
+    # variance = A - colsum(V o V) with V = L^-1 s3^T.  The product uses
+    # SciPy's BLAS, as _factor does, for the reason given there; train_z.T
+    # and W are Fortran-ordered, so dgemm copies neither.
     V = solve_triangular(L, s3.T, lower=True, check_finite=False)
     W = solve_triangular(L, V, lower=True, trans="T", check_finite=False)
     mean = dgemm(1.0, train_z.T, W).T
-    cov = dgemm(-1.0, V, V, beta=1.0, c=s4, trans_a=True)
-    cov = 0.5 * (cov + cov.T)
-    d = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.clip(d, 0.0, None))
-    return PredictiveGaussian(mean=mean, covariance=cov)
+    variance = np.clip(hyper.A - np.einsum("ij,ij->j", V, V), 0.0, None)
+    return mean, variance
 
 
 class _Stats(NamedTuple):
@@ -410,8 +383,9 @@ def fit_hyperparams(
         return -value / qN, -grad[1:] / qN
 
     def scaled(hyper: GpHyperParams) -> float:
+        # Through profiled: the first start, at init, reuses init's stats.
         try:
-            st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
+            st, _ = profiled(np.log([hyper.rho, hyper.sigma ** 2 / hyper.A]))
         except FactorizationError:
             return -np.inf
         return _value_grad(st, hyper.A)[0] / qN

@@ -18,7 +18,7 @@ import numpy as np
 from . import gp
 from .denoiser import DenoiseConfig, DenoiseTrace
 from .local_geometry import build_charts
-from .point_cloud import PointCloud
+from .point_cloud import PointCloud, _check_count
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ def estimate_domain_ball(predictors: np.ndarray) -> DomainBall:
 def sample_ball_uniform(ball: DomainBall, K: int, seed: int) -> np.ndarray:
     """K i.i.d. uniform draws from the closed ball, of the dimension d of
     its center (Gaussian direction, radius scaled by u^(1/d))."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_count(K, "K")
     d = ball.center.shape[0]
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(K, d))
@@ -74,8 +73,7 @@ def interpolate(
     """
     if len(trace.clouds) < 2:
         raise ValueError("trace must contain at least 2 clouds")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_count(K, "K")
     cloud = trace.clouds[-2]
     hyper = trace.hypers[-1]
     D = cloud.ambient_dim
@@ -109,10 +107,10 @@ def interpolate(
         train_w = np.vstack([chart.predictors, w_glue])
         train_z = np.vstack([chart.responses, rel - w_glue @ chart.U.T])
         try:
-            post = gp.predictive(train_w, train_z, test_u, hyper)
+            mean, _ = gp.predictive(train_w, train_z, test_u, hyper)
         except gp.FactorizationError as exc:
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
-        out[k] = chart.base + test_u @ chart.U.T + post.mean
+        out[k] = chart.base + test_u @ chart.U.T + mean
         reach[k] = np.max(np.linalg.norm(out[k] - chart.base, axis=1))
 
     made = np.flatnonzero(reach != -np.inf)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,17 @@ import numpy as np
 
 class CsvFormatError(ValueError):
     """Raised when a CSV file cannot be parsed into a point cloud."""
+
+
+def _check_count(value, name: str, low: int = 1) -> None:
+    """The rule for every count parameter: an integer (not a bool) >= low."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be >= {low} and an integer, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +134,7 @@ def gen_cassini(n: int, seed: int = 0) -> PointCloud:
     Uniform in [0, 2*pi) on the parameter, hence non-uniform along the
     curve itself.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return PointCloud(_cassini_xyz(theta))
@@ -135,8 +146,7 @@ def gen_torus(n: int, seed: int = 0) -> PointCloud:
     The tube angle u is rejection-sampled with acceptance proportional to
     2 + 0.8*cos(u); the axial angle v is uniform.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     R, r = 2.0, 0.8
     us = np.empty(0)
@@ -170,11 +180,8 @@ def gen_ellipsoid_embedded(
     seeded random orthogonal 3x3 matrix, and placed in coordinates
     14-16 of R^D (0-based 13-15), so D must be at least 16.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ambient_dim < _ELLIPSOID_SLOT + 3:
-        raise ValueError(
-            f"ambient_dim must be >= {_ELLIPSOID_SLOT + 3}, got {ambient_dim}")
+    _check_count(n, "n")
+    _check_count(ambient_dim, "ambient_dim", _ELLIPSOID_SLOT + 3)
     rng = np.random.default_rng(seed)
     a, b, c = _ELLIPSOID_AXES
     # Uniform-on-sphere directions, thinned by the area distortion of the

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .point_cloud import PointCloud
+from .point_cloud import PointCloud, _check_count
 
 # Bound on the entries of the arrays mean_local_eigenvalues builds for one
 # block of points (16 MB of float64).
@@ -224,8 +224,9 @@ def estimate_dimension(
         embed_dims = [3, 4, 5, 6]
     if not embed_dims:
         raise ValueError("embed_dims is empty")
-    if min(embed_dims) < 1:
-        raise ValueError("embedding dimensions must be >= 1")
+    for m in embed_dims:
+        # A spectrum needs a second eigenvalue to have a gap.
+        _check_count(m, "each embed_dims entry", 2)
     if eps_grid is not None and not eps_grid:
         raise ValueError("eps_grid is empty")
     for eps in eps_grid or ():

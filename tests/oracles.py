@@ -253,11 +253,11 @@ def interpolate_full_scan(trace, config, K, seed=0):
         rel = accumulated - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
         w_glue = rel @ chart.U
-        post = gp.predictive(
+        mean, _ = gp.predictive(
             np.vstack([chart.predictors, w_glue]),
             np.vstack([chart.responses, rel - w_glue @ chart.U.T]),
             test_u, hyper)
-        new = chart.base + test_u @ chart.U.T + post.mean
+        new = chart.base + test_u @ chart.U.T + mean
         accumulated = np.vstack([accumulated, new])
         chart_of += [k] * K
     return accumulated, np.asarray(chart_of, dtype=int)

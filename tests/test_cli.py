@@ -379,6 +379,19 @@ class TestEstimateDim:
         assert run(["estimate-dim", "--in", path, "--eps-dm", 1.0]) == 3
         assert "1 distinct points, fewer than the 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--embed-dims", "1", "embed_dims entry must be >= 2"),
+        ("--embed-dims", "1,3", "embed_dims entry must be >= 2"),
+        ("--embed-dims", "", "embed_dims is empty"),
+        ("--eps-grid", "", "eps_grid is empty"),
+    ], ids=["embed-dims-1", "embed-dims-1,3", "embed-dims-empty",
+            "eps-grid-empty"])
+    def test_bad_list_is_input_error(self, small_csv, capsys, option, value,
+                                     message):
+        assert run(["estimate-dim", "--in", small_csv, "--eps-dm", 0.5,
+                    option, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_eigensolver_failure_is_numerical_error(self, tmp_path,
                                                     monkeypatch):
         def no_convergence(*args, **kwargs):

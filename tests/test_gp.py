@@ -8,7 +8,6 @@ from mrgap.gp import (
     FactorizationError,
     GpHyperParams,
     fit_hyperparams,
-    gram,
     predictive,
 )
 from mrgap.local_geometry import ChartRegression, build_charts
@@ -24,6 +23,10 @@ from .oracles import (
 )
 
 HYPER = GpHyperParams(A=1.3, rho=0.7, sigma=0.2)
+
+
+def gram(points, hyper):
+    return gp._cross_gram(points, points, hyper)
 
 
 def make_chart(w, z, Q=None):
@@ -110,27 +113,21 @@ class TestGram:
 
 
 class TestPredictive:
-    def test_no_data_returns_prior(self):
-        u = np.random.default_rng(2).normal(size=(3, 2))
-        post = predictive(np.empty((0, 2)), np.empty((0, 1)), u, HYPER)
-        np.testing.assert_array_equal(post.mean, np.zeros((3, 1)))
-        np.testing.assert_allclose(post.covariance, gram(u, HYPER))
-
     def test_noise_free_interpolation(self):
         hyper = GpHyperParams(A=1.0, rho=0.5, sigma=0.0)
         rng = np.random.default_rng(3)
         w = rng.normal(size=(4, 2))
         z = rng.normal(size=(4, 2))
-        post = predictive(w, z, w[1:2], hyper)
-        np.testing.assert_allclose(post.mean[0], z[1], atol=1e-8)
+        mean, _ = predictive(w, z, w[1:2], hyper)
+        np.testing.assert_allclose(mean[0], z[1], atol=1e-8)
 
     def test_matches_conditioning_oracle(self):
         rng = np.random.default_rng(4)
         w, z, u = random_instance(rng, 3, 2)
-        post = predictive(w, z, u, HYPER)
-        mean, cov = conditioning_oracle(w, z, u, HYPER)
-        np.testing.assert_allclose(post.mean, mean, atol=1e-8)
-        np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
+        mean, var = predictive(w, z, u, HYPER)
+        want_mean, cov = conditioning_oracle(w, z, u, HYPER)
+        np.testing.assert_allclose(mean, want_mean, atol=1e-8)
+        np.testing.assert_allclose(var, np.diag(cov), atol=1e-8)
 
     @pytest.mark.parametrize("N, m, q", [
         (1, 1, 64), (7, 5, 64), (60, 2, 64), (60, 5, 16),  # q >> m
@@ -139,11 +136,11 @@ class TestPredictive:
     def test_wide_responses_match_conditioning_oracle(self, N, m, q):
         rng = np.random.default_rng(100 * N + m + q)
         w, z, u = random_instance(rng, N, m, q=q)
-        post = predictive(w, z, u, HYPER)
-        mean, cov = conditioning_oracle(w, z, u, HYPER)
-        assert post.mean.shape == (m, q)
-        np.testing.assert_allclose(post.mean, mean, atol=1e-8)
-        np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
+        mean, var = predictive(w, z, u, HYPER)
+        want_mean, cov = conditioning_oracle(w, z, u, HYPER)
+        assert mean.shape == (m, q) and var.shape == (m,)
+        np.testing.assert_allclose(mean, want_mean, atol=1e-8)
+        np.testing.assert_allclose(var, np.diag(cov), atol=1e-8)
 
     def test_duplicate_predictors_at_zero_noise(self, monkeypatch):
         # Four of 56 grid points appear twice, with equal responses.  The
@@ -165,12 +162,12 @@ class TestPredictive:
         twice = rng.choice(56, 4, replace=False)
         u = rng.uniform(0.0, 7.0, size=(5, 2))
         hyper = GpHyperParams(A=1.3, rho=0.5, sigma=0.0)
-        post = predictive(np.vstack([grid, grid[twice]]),
-                          np.vstack([z, z[twice]]), u, hyper)
+        mean, var = predictive(np.vstack([grid, grid[twice]]),
+                               np.vstack([z, z[twice]]), u, hyper)
         assert len(attempts) > 1
-        mean, cov = conditioning_oracle(grid, z, u, hyper)
-        np.testing.assert_allclose(post.mean, mean, atol=1e-8)
-        np.testing.assert_allclose(post.covariance, cov, atol=1e-8)
+        want_mean, cov = conditioning_oracle(grid, z, u, hyper)
+        np.testing.assert_allclose(mean, want_mean, atol=1e-8)
+        np.testing.assert_allclose(var, np.diag(cov), atol=1e-8)
 
     def test_inputs_unmodified(self):
         # also with duplicate predictors at sigma 0, where the Gram is
@@ -180,8 +177,8 @@ class TestPredictive:
         w[1] = w[0]
         for hyper in (HYPER, GpHyperParams(A=1.3, rho=0.7, sigma=0.0)):
             copies = [w.copy(), z.copy(), u.copy()]
-            post = predictive(w, z, u, hyper)
-            assert np.all(np.isfinite(post.mean))
+            mean, var = predictive(w, z, u, hyper)
+            assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
             for before, after in zip(copies, (w, z, u)):
                 np.testing.assert_array_equal(after, before)
 
@@ -189,9 +186,9 @@ class TestPredictive:
         rng = np.random.default_rng(5)
         for _ in range(10):
             w, z, u = random_instance(rng, 6, 4)
-            post = predictive(w, z, u, HYPER)
-            assert np.all(np.diag(post.covariance) >= 0.0)
-            assert np.all(np.diag(post.covariance) <= HYPER.A + 1e-8)
+            _, var = predictive(w, z, u, HYPER)
+            assert np.all(var >= 0.0)
+            assert np.all(var <= HYPER.A + 1e-8)
 
     def test_more_data_never_increases_variance(self):
         rng = np.random.default_rng(6)
@@ -199,12 +196,9 @@ class TestPredictive:
             w, z, u = random_instance(rng, 5, 3)
             extra_w = rng.normal(size=(1, 2))
             extra_z = rng.normal(size=(1, 2))
-            v1 = np.diag(predictive(w, z, u, HYPER).covariance)
-            v2 = np.diag(
-                predictive(
-                    np.vstack([w, extra_w]), np.vstack([z, extra_z]), u, HYPER
-                ).covariance
-            )
+            _, v1 = predictive(w, z, u, HYPER)
+            _, v2 = predictive(
+                np.vstack([w, extra_w]), np.vstack([z, extra_z]), u, HYPER)
             assert np.all(v2 <= v1 + 1e-8)
 
 
@@ -608,3 +602,31 @@ def test_default_start_equals_chart_by_chart_oracle(charts):
     charts = charts()
     assert gp._ChartStack.of_charts(charts).default_start() == \
         default_init(charts)
+
+
+def test_each_likelihood_evaluation_computes_stats_once(monkeypatch):
+    # Every evaluation goes through the fit's one-entry cache: the init's
+    # statistics serve the first start, and only a start whose sigma is
+    # raised to SIGMA_FLOOR needs statistics at a point L-BFGS never saw.
+    calls, results, made = [], [], []
+    stats, minimize, real = gp._ChartStack.stats, gp.minimize, gp.GpHyperParams
+
+    def stats_spy(self, rho, s):
+        calls.append((rho, s))
+        return stats(self, rho, s)
+
+    def minimize_spy(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    def hyper_spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(gp._ChartStack, "stats", stats_spy)
+    monkeypatch.setattr(gp, "minimize", minimize_spy)
+    monkeypatch.setattr(gp, "GpHyperParams", hyper_spy)
+    fit_hyperparams(noisy_charts(gen_cassini, 102, 0.04, 0.3, 0.6, 1))
+    floored = sum(h.sigma == SIGMA_FLOOR for h in made)
+    assert len(results) == 5
+    assert len(calls) == sum(res.nfev for res in results) + floored

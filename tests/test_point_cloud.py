@@ -13,7 +13,11 @@ from mrgap.point_cloud import (
     random_rotation,
     save_csv,
 )
+from mrgap.denoiser import DenoiseConfig, DenoiseTrace
 from mrgap.evaluation import grmse
+from mrgap.gp import GpHyperParams
+from mrgap.interpolator import interpolate
+from mrgap.spectral_dim import estimate_dimension
 
 
 def test_cloud_rejects_nonfinite():
@@ -21,6 +25,33 @@ def test_cloud_rejects_nonfinite():
         PointCloud(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         PointCloud(np.array([[np.inf, 0.0]]))
+
+
+_CLOUD = PointCloud(np.arange(12.0).reshape(6, 2))
+_TRACE = DenoiseTrace([_CLOUD, _CLOUD], [GpHyperParams(1.0, 1.0, 0.1)])
+_CONFIG = dict(epsilon=0.3, delta=0.6, intrinsic_dim=1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("max_iter", lambda: DenoiseConfig(**_CONFIG, max_iter=np.nan)),
+    ("max_iter", lambda: DenoiseConfig(**_CONFIG, max_iter=np.inf)),
+    ("max_iter", lambda: DenoiseConfig(**_CONFIG, max_iter=2.5)),
+    ("max_iter", lambda: DenoiseConfig(**_CONFIG, max_iter=True)),
+    ("intrinsic_dim",
+     lambda: DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1.5)),
+    ("K", lambda: interpolate(_TRACE, DenoiseConfig(**_CONFIG), K=2.5)),
+    ("embed_dims entry",
+     lambda: estimate_dimension(_CLOUD, 2.0, embed_dims=[3.5])),
+    ("n", lambda: gen_torus(2.5)),
+    ("n", lambda: gen_cassini(np.float64(3.0))),
+    ("n", lambda: gen_ellipsoid_embedded(2.5)),
+    ("ambient_dim", lambda: gen_ellipsoid_embedded(10, ambient_dim=16.5)),
+], ids=["max_iter-nan", "max_iter-inf", "max_iter-2.5", "max_iter-True",
+        "intrinsic_dim-1.5", "K-2.5", "embed_dims-3.5", "torus-n-2.5",
+        "cassini-n-float64", "ellipsoid-n-2.5", "ambient_dim-16.5"])
+def test_counts_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=f"{name} must be >= .* integer"):
+        call()
 
 
 def test_cloud_is_immutable():

@@ -296,7 +296,13 @@ class TestEstimateDimension:
 
     @pytest.mark.parametrize("dims", [[0], [3, 0], [-1, 4]])
     def test_rejects_embedding_dimension_below_one(self, dims):
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(ValueError, match="embed_dims entry must be >= 2"):
+            estimate_dimension(noisy_ring(20), 0.5, embed_dims=dims)
+
+    @pytest.mark.parametrize("dims", [[1], [1, 3]])
+    def test_rejects_embedding_dimension_one(self, dims):
+        # a one-dimensional embedding's spectrum has no gap to vote for
+        with pytest.raises(ValueError, match="embed_dims entry must be >= 2"):
             estimate_dimension(noisy_ring(20), 0.5, embed_dims=dims)
 
     def test_no_vote_is_an_error(self):
