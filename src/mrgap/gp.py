@@ -39,11 +39,12 @@ from scipy.spatial.distance import cdist
 
 from .local_geometry import ChartRegression
 
-SIGMA_FLOOR = 1e-9
+# s = sigma^2 / A stays in [S_FLOOR, 1 / S_FLOOR]: sigma >= 1e-9 sqrt(A).
+S_FLOOR = 1e-18
 _LOG_2PI = np.log(2.0 * np.pi)
-# Bound on |log A| for the profiled maximizer A*; with SIGMA_FLOOR it also
-# bounds log s.
-_LOG_A_BOUND = 40.0
+# The fit keeps rho and the profiled A* within e^(+-_LOG_SPAN) of the
+# start's rho, so that its search box scales with the data.
+_LOG_SPAN = 40.0
 # Cholesky jitter levels relative to the kernel scale A; the noise-free Gram
 # of duplicate predictors is exactly singular, so some jitter is routinely
 # needed when sigma is tiny.
@@ -280,7 +281,8 @@ class _ChartStack:
     def default_start(self) -> GpHyperParams:
         """Scale-aware starting point: A the mean square response, rho the
         median squared distance between two predictors of a chart, sigma
-        a tenth of the signal scale."""
+        a tenth of the signal scale.  A zero median falls back to the
+        largest distance, then to 1, and zero responses to A = rho."""
         # One buffer, filled bucket by bucket and partitioned in place: a
         # list of pieces, their concatenation and median's copy, all next
         # to the stack, raised the torus fit's peak memory by ~1 MB.
@@ -290,9 +292,10 @@ class _ChartStack:
             real = b.real > 0
             v = b.sq[:, i, j][real[:, i] & real[:, j]]
             sq[at:at + v.size], at = v, at + v.size
-        rho = float(np.median(sq, overwrite_input=True)) if sq.size else 1.0
-        A = max(self.zz / (self.q * self.N), 1e-12)
-        return GpHyperParams(A=A, rho=max(rho, 1e-12), sigma=0.1 * np.sqrt(A))
+        rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
+        rho = rho or float(sq.max(initial=0.0)) or 1.0
+        A = self.zz / (self.q * self.N) or rho
+        return GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
 
     def stats(self, rho: float, s: float) -> _Stats:
         T = logdet = 0.0
@@ -341,9 +344,10 @@ def fit_hyperparams(
 
     A is profiled out; L-BFGS searches (log rho, log s), s = sigma^2 / A,
     from the init (by default the chart stack's default_start) and from
-    rho x10, /10 and s x100, /100.
-    Deterministic, and the returned point is never worse than the init
-    nor than any start's optimum.
+    rho x10, /10 and s x100, /100.  The search box is the init's: rho and
+    A* stay within e^(+-40) of its rho, and s >= S_FLOOR.  So c X fits
+    c^2 A, c^2 rho and c sigma.  Deterministic, and the returned point is
+    never worse than the init nor than any start's optimum.
     """
     if not charts:
         raise ValueError("charts list is empty")
@@ -351,23 +355,24 @@ def fit_hyperparams(
     if not stack.N:
         raise OptimizationError("all charts are empty")
     init = init or stack.default_start()
-    init = GpHyperParams(init.A, init.rho, max(init.sigma, SIGMA_FLOOR))
+    init = GpHyperParams(init.A, init.rho,
+                         max(init.sigma, float(np.sqrt(S_FLOOR * init.A))))
     # Scaled by qN so that the optimizer's tolerances do not depend on the
     # data size: unscaled, starts stopped after two evaluations at rho -> 0.
     qN = stack.q * stack.N
+    box = init.rho * np.exp([-_LOG_SPAN, _LOG_SPAN])
 
     last: dict = {}
 
     def profiled(theta) -> tuple[_Stats, float]:
-        """Statistics at theta and the maximizing A within its bounds.  The
+        """Statistics at theta and the maximizing A within the box.  The
         last point is kept: L-BFGS usually returns the point it evaluated
         last."""
         key = tuple(theta)
         if key not in last:
             rho, s = np.exp(theta)
             st = stack.stats(rho, s)
-            A = float(np.clip(st.T / qN, np.exp(-_LOG_A_BOUND),
-                              np.exp(_LOG_A_BOUND)))
+            A = float(np.clip(st.T / qN, *box))
             last.clear()
             last[key] = st, A
         return last[key]
@@ -391,14 +396,9 @@ def fit_hyperparams(
         return _value_grad(st, hyper.A)[0] / qN
 
     t0 = np.log([init.rho, init.sigma ** 2 / init.A])
-    starts = [t0]
-    for i, shift in ((0, np.log(10.0)), (1, np.log(100.0))):
-        for sign in (-1.0, 1.0):
-            t = t0.copy()
-            t[i] += sign * shift
-            starts.append(t)
-    bounds = [(-40.0, 40.0),
-              (2.0 * np.log(SIGMA_FLOOR) - _LOG_A_BOUND, 3.0 * _LOG_A_BOUND)]
+    starts = [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
+                     for sign in (-1.0, 1.0)]
+    bounds = [np.log(box), (np.log(S_FLOOR), -np.log(S_FLOOR))]
 
     best, best_val = init, scaled(init)
     for t in starts:
@@ -406,14 +406,11 @@ def fit_hyperparams(
                        options={"maxiter": 200})
         if not np.isfinite(res.fun):
             continue
-        st, A = profiled(res.x)
-        sigma = float(np.sqrt(st.s * A))
-        hyper = GpHyperParams(A=A, rho=float(np.exp(res.x[0])),
-                              sigma=max(sigma, SIGMA_FLOOR))
-        # The sigma floor moves the point off the optimizer's value.
-        val = -res.fun if sigma >= SIGMA_FLOOR else scaled(hyper)
-        if val > best_val:
-            best, best_val = hyper, val
+        if -res.fun > best_val:
+            st, A = profiled(res.x)
+            best = GpHyperParams(A=A, rho=float(np.exp(res.x[0])),
+                                 sigma=float(np.sqrt(st.s * A)))
+            best_val = -res.fun
     if not np.isfinite(best_val):
         raise OptimizationError("factorization failed from every start")
     return best

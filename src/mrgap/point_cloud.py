@@ -93,12 +93,13 @@ def load_csv(path) -> PointCloud:
     """Read one point per row from a comma-separated file.
 
     A non-numeric first row is treated as a header and skipped; blank
-    rows are skipped.  Ragged or non-numeric rows raise CsvFormatError
+    rows, whitespace-only ones included, are skipped.  Ragged,
+    non-numeric or non-finite (nan, inf) cells raise CsvFormatError
     naming the offending row and column (1-based among the non-blank
     rows, counting the header if present).
     """
     with open(path) as fh:
-        rows = [line for line in fh if line != "\n"]
+        rows = [line for line in fh if line.strip()]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     start = 0 if _bad_row(path, rows[:1], 0) is None else 1
@@ -112,6 +113,11 @@ def load_csv(path) -> PointCloud:
     except ValueError as exc:
         raise _bad_row(path, rows, start) or CsvFormatError(
             f"{path}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        cell = next(csv.reader(rows[start + i:start + i + 1]))[j]
+        raise CsvFormatError(f"{path}: row {start + i + 1}, column {j + 1}: "
+                             f"not finite: {cell!r}")
     return PointCloud(data)
 
 

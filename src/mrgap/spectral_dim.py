@@ -216,7 +216,8 @@ def estimate_dimension(
     from balls that hold only their own point, casts no vote.  The default
     bandwidth for embedding dimension m is 0.3 + 0.1 * (m - 2).
 
-    Raises DimensionEstimateError when the cloud has fewer than
+    Raises ValueError unless every embed_dims entry m has 2 <= m < n, and
+    DimensionEstimateError when the cloud has fewer than
     max(embed_dims) + 1 distinct points, when no spectrum votes or when the
     eigensolver does not converge.
     """
@@ -227,6 +228,9 @@ def estimate_dimension(
     for m in embed_dims:
         # A spectrum needs a second eigenvalue to have a gap.
         _check_count(m, "each embed_dims entry", 2)
+        if m >= cloud.n:
+            raise ValueError(f"each embed_dims entry must be < n = {cloud.n} "
+                             f"points, got {m}")
     if eps_grid is not None and not eps_grid:
         raise ValueError("eps_grid is empty")
     for eps in eps_grid or ():

@@ -308,10 +308,16 @@ def default_init(charts):
         if w.shape[0] > 1:
             sq = cdist(w, w, "sqeuclidean")
             sq_all.append(sq[np.triu_indices_from(sq, k=1)])
-    A = var_sum / var_cnt if var_cnt else 1.0
-    A = max(A, 1e-12)
-    rho = float(np.median(np.concatenate(sq_all))) if sq_all else 1.0
-    rho = max(rho, 1e-12)
+    # Degenerate charts keep the data's units: a zero median falls back to
+    # the largest squared distance, 1 only when all predictors coincide,
+    # and all-zero responses start at A = rho.
+    sq = np.concatenate(sq_all) if sq_all else np.zeros(0)
+    rho = float(np.median(sq)) if sq.size else 0.0
+    if rho == 0.0:
+        rho = float(np.max(sq)) if sq.size and np.max(sq) > 0 else 1.0
+    A = var_sum / var_cnt
+    if A == 0.0:
+        A = rho
     return gp.GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
 
 

@@ -379,6 +379,16 @@ class TestEstimateDim:
         assert run(["estimate-dim", "--in", path, "--eps-dm", 1.0]) == 3
         assert "1 distinct points, fewer than the 7" in capsys.readouterr().err
 
+    def test_embedding_dimension_not_below_n_is_input_error(self, tmp_path,
+                                                             capsys):
+        # the default embedding dimensions 3-6 need at least 7 points
+        path = tmp_path / "six.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(6, 3)),
+                   delimiter=",")
+        assert run(["estimate-dim", "--in", path, "--eps-dm", 2]) == 2
+        assert ("embed_dims entry must be < n = 6 points, got 6"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("option, value, message", [
         ("--embed-dims", "1", "embed_dims entry must be >= 2"),
         ("--embed-dims", "1,3", "embed_dims entry must be >= 2"),

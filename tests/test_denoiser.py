@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,17 @@ def flat_plane_cloud(n=150, seed=0):
 
 CFG_PLANE = DenoiseConfig(epsilon=0.8, delta=1.2, intrinsic_dim=2,
                           max_iter=1, sigma_tol=0.0)
+
+
+@functools.cache
+def cassini_run(c):
+    """Two denoising rounds and K = 3 interpolation of noisy Cassini scaled
+    by c, with epsilon and delta scaled alike."""
+    noisy = add_gaussian_noise(gen_cassini(102, seed=0), NoiseSpec(0.04, 1))
+    cfg = DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c, intrinsic_dim=1,
+                        max_iter=2)
+    trace = denoise(PointCloud(c * noisy.points), cfg)
+    return trace, interpolate(trace, cfg, K=3, seed=1)
 
 
 class TestConfig:
@@ -170,6 +183,22 @@ class TestDenoise:
             np.testing.assert_allclose(
                 [hb.A / c ** 2, hb.rho / c ** 2, hb.sigma / c],
                 [ha.A, ha.rho, ha.sigma], rtol=1e-10)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
+    def test_scale_equivariance_at_extreme_scales(self, c):
+        # The fit's search box is relative to the data, so no bound binds
+        # in one unit and not in another: c X denoises and interpolates to
+        # c times the outputs at c = 1.
+        (trace_a, dense_a), (trace_b, dense_b) = cassini_run(1.0), cassini_run(c)
+        assert trace_a.rounds == trace_b.rounds == 2
+        for a, b in ((trace_a.clouds[-1], trace_b.clouds[-1]),
+                     (dense_a, dense_b)):
+            np.testing.assert_allclose(b.points / c, a.points, rtol=0,
+                                       atol=1e-6 * np.max(np.abs(a.points)))
+        for ha, hb in zip(trace_a.hypers, trace_b.hypers):
+            np.testing.assert_allclose(
+                [hb.rho / c ** 2, hb.A / c ** 2, hb.sigma / c],
+                [ha.rho, ha.A, ha.sigma], rtol=1e-6)
 
     def test_flat_plane_interpolation_ready_trace(self):
         cloud = flat_plane_cloud()

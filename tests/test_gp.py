@@ -4,7 +4,7 @@ from scipy.linalg import cholesky
 
 from mrgap import gp
 from mrgap.gp import (
-    SIGMA_FLOOR,
+    S_FLOOR,
     FactorizationError,
     GpHyperParams,
     fit_hyperparams,
@@ -444,7 +444,7 @@ class TestStackedKernel:
         w = rng.normal(size=(6, 2))
         dup = make_chart(np.vstack([w, w]), rng.normal(size=(12, 1)))
         other = make_chart(rng.normal(size=(7, 2)), rng.normal(size=(7, 1)))
-        hyper = GpHyperParams(A=1.0, rho=0.5, sigma=SIGMA_FLOOR)
+        hyper = GpHyperParams(A=1.0, rho=0.5, sigma=np.sqrt(S_FLOOR * 1.0))
         single = log_marginal(dup.predictors, normal_part(dup), hyper)
         assert np.isfinite(single)
         assert np.all(np.isfinite(
@@ -455,7 +455,7 @@ class TestStackedKernel:
             single + log_marginal(other.predictors, normal_part(other), hyper),
             rtol=1e-12)
         fitted = fit_hyperparams([dup, other], hyper)
-        assert fitted.sigma >= SIGMA_FLOOR
+        assert fitted.sigma ** 2 / fitted.A >= S_FLOOR
         assert (joint_log_marginal([dup, other], fitted)
                 >= joint_log_marginal([dup, other], hyper))
 
@@ -595,6 +595,14 @@ def noisy_charts(gen, n, sigma, epsilon, delta, d):
                  id="torus"),
     pytest.param(lambda: mixed_charts(23), id="one-row-and-empty"),
     pytest.param(lambda: [rotated_chart()[0]], id="rotated"),
+    pytest.param(lambda: [make_chart(c.predictors, 0.0 * c.responses)
+                          for c in mixed_charts(5)],
+                 id="zero-responses"),
+    pytest.param(lambda: [make_chart(np.repeat(np.eye(2), [4, 1], axis=0),
+                                     np.ones((5, 1)))],
+                 id="mostly-coincident"),
+    pytest.param(lambda: [make_chart(np.zeros((3, 2)), np.zeros((3, 1)))],
+                 id="one-point-zero-responses"),
 ])
 def test_default_start_equals_chart_by_chart_oracle(charts):
     # The stack reuses the squared distances it keeps for the likelihood;
@@ -605,11 +613,11 @@ def test_default_start_equals_chart_by_chart_oracle(charts):
 
 
 def test_each_likelihood_evaluation_computes_stats_once(monkeypatch):
-    # Every evaluation goes through the fit's one-entry cache: the init's
-    # statistics serve the first start, and only a start whose sigma is
-    # raised to SIGMA_FLOOR needs statistics at a point L-BFGS never saw.
-    calls, results, made = [], [], []
-    stats, minimize, real = gp._ChartStack.stats, gp.minimize, gp.GpHyperParams
+    # Every evaluation goes through the fit's one-entry cache, and the
+    # init's statistics serve the first start: no point is computed that
+    # L-BFGS did not ask for.
+    calls, results = [], []
+    stats, minimize = gp._ChartStack.stats, gp.minimize
 
     def stats_spy(self, rho, s):
         calls.append((rho, s))
@@ -619,14 +627,8 @@ def test_each_likelihood_evaluation_computes_stats_once(monkeypatch):
         results.append(minimize(*args, **kwargs))
         return results[-1]
 
-    def hyper_spy(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
-
     monkeypatch.setattr(gp._ChartStack, "stats", stats_spy)
     monkeypatch.setattr(gp, "minimize", minimize_spy)
-    monkeypatch.setattr(gp, "GpHyperParams", hyper_spy)
     fit_hyperparams(noisy_charts(gen_cassini, 102, 0.04, 0.3, 0.6, 1))
-    floored = sum(h.sigma == SIGMA_FLOOR for h in made)
     assert len(results) == 5
-    assert len(calls) == sum(res.nfev for res in results) + floored
+    assert len(calls) == sum(res.nfev for res in results)

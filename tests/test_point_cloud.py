@@ -96,6 +96,31 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="row 2, column 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_named(self, tmp_path, cell):
+        p = tmp_path / "c.csv"
+        p.write_text(f"x,y\n1,2\n\n3,{cell}\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}: row 3, column 2: not finite: '{cell}'"
+
+    @pytest.mark.parametrize("blank", ["   \n", "\t\n", " \t \r\n"],
+                             ids=["spaces", "tab", "mixed"])
+    def test_whitespace_rows_are_blank(self, tmp_path, blank):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("1,2,3\n4,5,6\n")
+        spaced.write_text(f"{blank}1,2,3\n{blank}{blank}4,5,6\n{blank}")
+        np.testing.assert_array_equal(load_csv(spaced).points,
+                                      load_csv(plain).points)
+        # A later error names the row it would name without them.
+        for bad, message in (("7,8", "row 3 has 2 fields"),
+                             ("7,x,9", "row 3, column 2: not numeric")):
+            plain.write_text(f"1,2,3\n4,5,6\n{bad}\n")
+            spaced.write_text(f"1,2,3\n{blank}4,5,6\n{blank}{bad}\n")
+            for path in (plain, spaced):
+                with pytest.raises(CsvFormatError, match=message):
+                    load_csv(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         cloud = PointCloud(rng.normal(size=(10, 3)))

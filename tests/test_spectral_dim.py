@@ -305,6 +305,19 @@ class TestEstimateDimension:
         with pytest.raises(ValueError, match="embed_dims entry must be >= 2"):
             estimate_dimension(noisy_ring(20), 0.5, embed_dims=dims)
 
+    @pytest.mark.parametrize("n, dims, bad", [(5, None, 5), (6, None, 6),
+                                              (9, [3, 12, 4], 12)])
+    def test_rejects_embedding_dimension_not_below_n(self, monkeypatch, n,
+                                                     dims, bad):
+        def embedding(*args):
+            raise AssertionError("the embedding ran")
+
+        monkeypatch.setattr(spectral_dim, "diffusion_embedding", embedding)
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(n, 3)))
+        with pytest.raises(ValueError, match=f"embed_dims entry must be < "
+                                             f"n = {n} points, got {bad}"):
+            estimate_dimension(cloud, 2.0, embed_dims=dims)
+
     def test_no_vote_is_an_error(self):
         cloud = PointCloud(np.random.default_rng(0).normal(size=(7, 3)))
         with pytest.raises(DimensionEstimateError):
