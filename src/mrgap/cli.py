@@ -178,22 +178,21 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     clouds = [_decode_cloud(c, f"clouds[{i}]") for i, c in enumerate(encoded)]
     if clouds[0].points.shape != clouds[1].points.shape:
         raise CliError("trace: field 'clouds': the two shapes differ")
-    if len(variances) != clouds[1].n:
-        raise CliError(f"trace: field 'predictive_variances' holds "
-                       f"{len(variances)} values, the clouds {clouds[1].n} "
-                       f"points")
-    return DenoiseTrace(clouds, hypers, variances), config
+    try:
+        return DenoiseTrace(clouds, hypers, variances), config
+    except ValueError as exc:
+        raise CliError(f"trace: field 'predictive_variances': {exc}") from exc
 
 
 def cmd_generate(args) -> int:
     gen = _GENERATORS[args.shape]
-    noise = NoiseSpec(args.sigma, args.seed + 1)
     extra = {}
     if args.ambient_dim is not None:
         if args.shape != "ellipsoid":
             raise ValueError("--ambient-dim applies only to --shape ellipsoid")
         extra["ambient_dim"] = args.ambient_dim
     clean = gen(args.n, seed=args.seed, **extra)
+    noise = NoiseSpec(args.sigma, args.seed + 1)
     base, ext = os.path.splitext(args.out)
     clean_path = args.out if noise.sigma == 0 else f"{base}_clean{ext}"
     save_csv(clean, clean_path)

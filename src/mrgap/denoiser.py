@@ -10,7 +10,7 @@ in the normal space: no point moves along its own tangent directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +44,19 @@ class DenoiseTrace:
     read from a file (mrgap.cli.trace_from_json) holds only its last two
     clouds, clouds[-2] and clouds[-1]; its other fields are complete.
     predictive_variances[k] is the last round's posterior variance at the
-    base of chart k, the point its displacement was predicted at.
+    base of chart k, the point its displacement was predicted at: one
+    value per point of clouds[-1], or ValueError.
     """
 
     clouds: list[PointCloud]
     hypers: list[gp.GpHyperParams]
-    predictive_variances: list[float] = field(default_factory=list)
+    predictive_variances: list[float]
+
+    def __post_init__(self):
+        if len(self.predictive_variances) != self.clouds[-1].n:
+            raise ValueError(f"predictive_variances holds "
+                             f"{len(self.predictive_variances)} values, "
+                             f"clouds[-1] {self.clouds[-1].n} points")
 
     @property
     def rounds(self) -> int:

@@ -16,23 +16,13 @@ class GrmseReport:
     per_point_distances: np.ndarray
 
 
-def dists_to_set(points: np.ndarray, reference: PointCloud) -> np.ndarray:
-    """Exact minimum Euclidean distance from each query point to a finite
-    set, by a k-d tree."""
-    if reference.n == 0:
-        raise ValueError("reference set is empty")
-    tree = cKDTree(reference.points)
-    d, _ = tree.query(np.asarray(points, dtype=float), k=1)
-    return np.atleast_1d(d)
-
-
 def grmse(eval_set: PointCloud, reference: PointCloud) -> GrmseReport:
-    """Root mean square of exact nearest-neighbor distances to the reference."""
+    """RMS of exact nearest-neighbor distances to the reference (k-d tree)."""
     if eval_set.n == 0 or reference.n == 0:
         raise ValueError("both point sets must be nonempty")
     if eval_set.ambient_dim != reference.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {eval_set.ambient_dim} "
                          f"vs {reference.ambient_dim}")
-    d = dists_to_set(eval_set.points, reference)
+    d, _ = cKDTree(reference.points).query(eval_set.points, k=1)
     return GrmseReport(value=float(np.sqrt(np.mean(d ** 2))),
                        per_point_distances=d)

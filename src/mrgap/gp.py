@@ -254,8 +254,6 @@ class _ChartStack:
 
     def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], q: int):
         pairs = [(w, z) for w, z in pairs if w.shape[0]]
-        if len({z.shape[1] for _, z in pairs}) > 1:
-            raise ValueError("charts disagree in response dimension")
         self.q = q
         self.zz = 0.0  # sum of |Z_k|^2, added in chart order
         for _, z in pairs:

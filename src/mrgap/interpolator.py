@@ -4,14 +4,12 @@ Charts are rebuilt from the second-to-last denoised cloud and visited in
 index order; each chart's training set is augmented with previously
 interpolated points inside its delta-ball, which glues overlapping charts
 together smoothly.  A new point is the chart's base plus its sampled
-tangent displacement plus the posterior mean of the ambient residual
-there.
+tangent displacement plus the posterior mean of the ambient residual there.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,40 +19,29 @@ from .local_geometry import build_charts
 from .point_cloud import PointCloud, _check_count
 
 
-@dataclass(frozen=True)
-class DomainBall:
-    """Sampling region in a chart's tangent coordinates."""
-
-    center: np.ndarray
-    radius: float  # see estimate_domain_ball
-
-
-def estimate_domain_ball(predictors: np.ndarray) -> DomainBall:
-    """Center = mean predictor; radius = mean - population stddev of the
-    distances to the center, or half their mean where that is not
-    positive.  The radius is 0 only if all predictors coincide."""
-    predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
-    if predictors.shape[0] < 2:
-        raise ValueError("need at least 2 predictors")
+def estimate_domain_ball(predictors: np.ndarray) -> tuple[np.ndarray, float]:
+    """(center, radius) of a chart's sampling ball: the mean predictor, and
+    the mean less the population stddev of the distances to it, or half
+    their mean if that is not positive.  0 only if all predictors coincide."""
     center = predictors.mean(axis=0)
     dists = np.linalg.norm(predictors - center, axis=1)
     mean = float(dists.mean())
     radius = mean - float(dists.std())
     if radius <= 0.0:
         radius = 0.5 * mean
-    return DomainBall(center=center, radius=radius)
+    return center, radius
 
 
-def sample_ball_uniform(ball: DomainBall, K: int, seed: int) -> np.ndarray:
-    """K i.i.d. uniform draws from the closed ball, of the dimension d of
+def sample_ball_uniform(center: np.ndarray, radius: float, K: int,
+                        seed: int) -> np.ndarray:
+    """K i.i.d. uniform draws from the closed ball, in the dimension d of
     its center (Gaussian direction, radius scaled by u^(1/d))."""
-    _check_count(K, "K")
-    d = ball.center.shape[0]
+    d = center.shape[0]
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(K, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = ball.radius * rng.uniform(0.0, 1.0, size=K) ** (1.0 / d)
-    return ball.center + dirs * radii[:, None]
+    radii = radius * rng.uniform(0.0, 1.0, size=K) ** (1.0 / d)
+    return center + dirs * radii[:, None]
 
 
 def interpolate(
@@ -64,16 +51,14 @@ def interpolate(
     seed: int = 0,
     return_chart_index: bool = False,
 ) -> PointCloud | tuple[PointCloud, np.ndarray]:
-    """Interpolate K points per chart, gluing each chart to the points
-    already produced by earlier charts.
-
-    Uses the second-to-last cloud of the trace and the last-round fitted
-    hyperparameters.  Returns n*K points (fewer only if degenerate charts
-    had to be skipped).
-    """
+    """Interpolate K points per chart from the trace's second-to-last cloud
+    and last-round hyperparameters, gluing each chart to the points that
+    earlier charts produced.  Returns n*K points, fewer only if degenerate
+    charts were skipped."""
     if len(trace.clouds) < 2:
         raise ValueError("trace must contain at least 2 clouds")
     _check_count(K, "K")
+    _check_count(seed, "seed", 0)
     cloud = trace.clouds[-2]
     hyper = trace.hypers[-1]
     D = cloud.ambient_dim
@@ -86,11 +71,11 @@ def interpolate(
     charts = build_charts(cloud, config.epsilon, config.delta,
                           config.intrinsic_dim)
     for k, chart in enumerate(charts):
-        ball = estimate_domain_ball(chart.predictors)
-        if ball.radius == 0.0:
+        center, radius = estimate_domain_ball(chart.predictors)
+        if radius == 0.0:
             warnings.warn(f"chart {k}: degenerate domain, skipped")
             continue
-        test_u = sample_ball_uniform(ball, K, int(chart_seeds[k]))
+        test_u = sample_ball_uniform(center, radius, K, int(chart_seeds[k]))
 
         # Gluing points: earlier interpolated points within delta of y_k.
         # By the triangle inequality only charts j with

@@ -17,7 +17,7 @@ class CsvFormatError(ValueError):
 
 
 def _check_count(value, name: str, low: int = 1) -> None:
-    """The rule for every count parameter: an integer (not a bool) >= low."""
+    """The rule for every count and seed: an integer (not a bool) >= low."""
     try:
         ok = not isinstance(value, bool) and operator.index(value) >= low
     except TypeError:
@@ -67,6 +67,7 @@ class NoiseSpec:
         if not 0 <= self.sigma < np.inf:
             raise ValueError(
                 f"sigma must be finite and nonnegative, got {self.sigma}")
+        _check_count(self.seed, "seed", 0)
 
 
 def _bad_row(path, rows: list[str], start: int) -> CsvFormatError | None:
@@ -93,12 +94,12 @@ def load_csv(path) -> PointCloud:
     """Read one point per row from a comma-separated file.
 
     A non-numeric first row is treated as a header and skipped; blank
-    rows, whitespace-only ones included, are skipped.  Ragged,
-    non-numeric or non-finite (nan, inf) cells raise CsvFormatError
-    naming the offending row and column (1-based among the non-blank
-    rows, counting the header if present).
+    rows, whitespace-only ones included, and a UTF-8 byte-order mark are
+    skipped.  Ragged, non-numeric or non-finite (nan, inf) cells raise
+    CsvFormatError naming the offending row and column (1-based among the
+    non-blank rows, counting the header if present).
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         rows = [line for line in fh if line.strip()]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
@@ -141,6 +142,7 @@ def gen_cassini(n: int, seed: int = 0) -> PointCloud:
     curve itself.
     """
     _check_count(n, "n")
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return PointCloud(_cassini_xyz(theta))
@@ -153,6 +155,7 @@ def gen_torus(n: int, seed: int = 0) -> PointCloud:
     2 + 0.8*cos(u); the axial angle v is uniform.
     """
     _check_count(n, "n")
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     R, r = 2.0, 0.8
     us = np.empty(0)
@@ -188,6 +191,7 @@ def gen_ellipsoid_embedded(
     """
     _check_count(n, "n")
     _check_count(ambient_dim, "ambient_dim", _ELLIPSOID_SLOT + 3)
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     a, b, c = _ELLIPSOID_AXES
     # Uniform-on-sphere directions, thinned by the area distortion of the

@@ -246,10 +246,10 @@ def interpolate_full_scan(trace, config, K, seed=0):
     chart_of = []
     charts = build_charts(cloud, config.epsilon, config.delta, d)
     for k, chart in enumerate(charts):
-        ball = estimate_domain_ball(chart.predictors)
-        if ball.radius == 0.0:
+        center, radius = estimate_domain_ball(chart.predictors)
+        if radius == 0.0:
             continue
-        test_u = sample_ball_uniform(ball, K, int(seeds[k]))
+        test_u = sample_ball_uniform(center, radius, K, int(seeds[k]))
         rel = accumulated - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
         w_glue = rel @ chart.U

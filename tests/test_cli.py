@@ -163,6 +163,27 @@ class TestDenoise:
         assert back.sigma_history == synthetic.sigma_history
         assert back.predictive_variances == synthetic.predictive_variances
 
+    def test_every_trace_round_trips(self):
+        # A trace holds one variance per point of its last cloud, so the
+        # reader accepts every trace the writer can be given.
+        rng = np.random.default_rng(1)
+        clouds = [PointCloud(rng.normal(size=(5, 3))) for _ in range(3)]
+        hypers = [GpHyperParams(1.0, 0.5, 0.1), GpHyperParams(1.0, 0.4, 0.1)]
+        with pytest.raises(TypeError):
+            DenoiseTrace(clouds, hypers)
+        for bad in ([], [0.1] * 4):
+            with pytest.raises(ValueError, match="predictive_variances"):
+                DenoiseTrace(clouds, hypers, bad)
+        trace = DenoiseTrace(clouds, hypers, list(rng.uniform(size=5)))
+        config = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1)
+        back, back_config = cli.trace_from_json(
+            json.loads(json.dumps(cli.trace_to_json(trace, config))))
+        for got, want in zip(back.clouds, clouds[-2:]):
+            np.testing.assert_array_equal(got.points, want.points)
+        assert back.hypers == hypers
+        assert back.predictive_variances == trace.predictive_variances
+        assert back_config == config
+
     def test_missing_input(self, tmp_path):
         assert run(["denoise", "--in", tmp_path / "nope.csv",
                     "--epsilon", 0.3, "--delta", 0.6, "--d", 1,
@@ -463,6 +484,19 @@ class TestBadInput:
                     if "error:" in line]) == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--shape", "torus", "--n", 5, "--seed", -3,
+         "--out", "OUT"],
+        ["interpolate", "--trace", "TRACE", "--k", 2, "--seed", -1,
+         "--out", "OUT"],
+    ], ids=["generate", "interpolate"])
+    def test_negative_seed_is_named(self, tmp_path, pipeline, capsys, argv):
+        out = tmp_path / "o.csv"
+        paths = {"TRACE": pipeline[3], "OUT": out}
+        assert run([paths.get(a, a) for a in argv]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestUsage:

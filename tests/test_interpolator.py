@@ -3,7 +3,6 @@ import pytest
 
 from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
 from mrgap.interpolator import (
-    DomainBall,
     estimate_domain_ball,
     interpolate,
     sample_ball_uniform,
@@ -33,43 +32,46 @@ def cassini_trace():
 
 class TestDomainBall:
     def test_symmetric_pair(self):
-        ball = estimate_domain_ball(np.array([[-1.0], [1.0]]))
-        np.testing.assert_allclose(ball.center, [0.0])
+        center, radius = estimate_domain_ball(np.array([[-1.0], [1.0]]))
+        np.testing.assert_allclose(center, [0.0])
         # both distances equal 1: mean 1, stddev 0
-        np.testing.assert_allclose(ball.radius, 1.0)
+        np.testing.assert_allclose(radius, 1.0)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             w = rng.normal(size=(rng.integers(2, 15), 2))
-            ball = estimate_domain_ball(w)
+            center, radius = estimate_domain_ball(w)
             c = w.mean(axis=0)
             d = np.linalg.norm(w - c, axis=1)
-            np.testing.assert_allclose(ball.center, c, atol=1e-12)
-            np.testing.assert_allclose(ball.radius, d.mean() - d.std(),
+            np.testing.assert_allclose(center, c, atol=1e-12)
+            np.testing.assert_allclose(radius, d.mean() - d.std(),
                                        atol=1e-12)
 
-    def test_needs_two_predictors(self):
-        with pytest.raises(ValueError):
-            estimate_domain_ball(np.zeros((1, 2)))
+    def test_one_predictor_gives_radius_zero(self):
+        # A lone predictor is its own center; radius 0 marks a skipped chart.
+        center, radius = estimate_domain_ball(np.array([[0.5, -1.0]]))
+        np.testing.assert_array_equal(center, [0.5, -1.0])
+        assert radius == 0.0
 
     def test_nonpositive_radius_falls_back_to_half_mean(self):
         # nine coincident predictors and one far one: distances 1 (x9) and
         # 9, mean 1.8 below the stddev 2.4
         w = np.vstack([np.zeros((9, 1)), [[10.0]]])
-        ball = estimate_domain_ball(w)
-        np.testing.assert_allclose(ball.center, [1.0])
-        np.testing.assert_allclose(ball.radius, 0.9, rtol=1e-12)
+        center, radius = estimate_domain_ball(w)
+        np.testing.assert_allclose(center, [1.0])
+        np.testing.assert_allclose(radius, 0.9, rtol=1e-12)
 
     def test_coincident_predictors_chart_skipped(self):
         # Three copies of one point: their charts' predictors coincide, the
         # ball has radius 0, and interpolate skips those charts.
         np.testing.assert_array_equal(
-            estimate_domain_ball(np.zeros((3, 2))).radius, 0.0)
+            estimate_domain_ball(np.zeros((3, 2)))[1], 0.0)
         trace, cfg = flat_plane_trace()
         cloud = PointCloud(np.vstack([trace.clouds[-2].points,
                                       np.tile([10.0, 10.0, 0.0], (3, 1))]))
-        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers)
+        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
+                             predictive_variances=[0.0] * cloud.n)
         with pytest.warns(UserWarning, match="degenerate domain"):
             out, idx = interpolate(trace, cfg, K=2, seed=0,
                                    return_chart_index=True)
@@ -79,44 +81,35 @@ class TestDomainBall:
 
 class TestSampleBall:
     def test_inside_ball(self):
-        ball = DomainBall(center=np.array([1.0, -2.0]), radius=0.7)
-        pts = sample_ball_uniform(ball, 500, seed=1)
+        center = np.array([1.0, -2.0])
+        pts = sample_ball_uniform(center, 0.7, 500, seed=1)
         assert pts.shape == (500, 2)
-        r = np.linalg.norm(pts - ball.center, axis=1)
-        assert np.max(r) <= ball.radius + 1e-12
+        r = np.linalg.norm(pts - center, axis=1)
+        assert np.max(r) <= 0.7 + 1e-12
 
     def test_seed_determinism(self):
-        ball = DomainBall(center=np.zeros(3), radius=1.0)
-        a = sample_ball_uniform(ball, 50, seed=9)
-        b = sample_ball_uniform(ball, 50, seed=9)
+        a = sample_ball_uniform(np.zeros(3), 1.0, 50, seed=9)
+        b = sample_ball_uniform(np.zeros(3), 1.0, 50, seed=9)
         np.testing.assert_array_equal(a, b)
-        c = sample_ball_uniform(ball, 50, seed=10)
+        c = sample_ball_uniform(np.zeros(3), 1.0, 50, seed=10)
         assert not np.array_equal(a, c)
 
     def test_radial_moment_1d(self):
         # uniform on [-R, R]: E|x - c| = R/2
-        ball = DomainBall(center=np.array([0.0]), radius=2.0)
-        pts = sample_ball_uniform(ball, 100_000, seed=2)
+        pts = sample_ball_uniform(np.array([0.0]), 2.0, 100_000, seed=2)
         mean_abs = np.mean(np.abs(pts))
         np.testing.assert_allclose(mean_abs, 1.0, rtol=0.02)
 
     def test_radial_moment_2d(self):
         # uniform on the disk of radius R: E r = 2R/3
-        ball = DomainBall(center=np.zeros(2), radius=1.5)
-        pts = sample_ball_uniform(ball, 100_000, seed=3)
+        pts = sample_ball_uniform(np.zeros(2), 1.5, 100_000, seed=3)
         r = np.linalg.norm(pts, axis=1)
         np.testing.assert_allclose(np.mean(r), 1.0, rtol=0.02)
 
     def test_dimension_of_center(self):
-        ball = DomainBall(center=np.array([3.0]), radius=0.5)
-        pts = sample_ball_uniform(ball, 7, seed=0)
+        pts = sample_ball_uniform(np.array([3.0]), 0.5, 7, seed=0)
         assert pts.shape == (7, 1)
         assert np.max(np.abs(pts - 3.0)) <= 0.5
-
-    def test_rejects_bad_count(self):
-        ball = DomainBall(center=np.zeros(2), radius=1.0)
-        with pytest.raises(ValueError):
-            sample_ball_uniform(ball, 0, seed=0)
 
 
 class TestInterpolate:
@@ -192,7 +185,8 @@ class TestGlueLookup:
         trace, cfg = flat_plane_trace()
         cloud = PointCloud(np.vstack([np.tile([10.0, 10.0, 0.0], (3, 1)),
                                       trace.clouds[-2].points]))
-        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers)
+        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
+                             predictive_variances=[0.0] * cloud.n)
         with pytest.warns(UserWarning, match="degenerate domain"):
             idx = assert_matches_full_scan(trace, cfg, K=3, seed=1)
         assert idx.min() == 3

@@ -1,8 +1,11 @@
+"""Neighborhood queries: chart membership (build_charts' closed balls)
+and nearest-point distances (grmse's per-point distances)."""
+
 import numpy as np
 import pytest
 
+from mrgap.evaluation import grmse
 from mrgap.local_geometry import build_charts
-from mrgap.evaluation import dists_to_set
 from mrgap.point_cloud import PointCloud
 
 from .oracles import dist_to_set, radius_neighbors
@@ -75,33 +78,39 @@ class TestRadiusNeighbors:
 
 
 class TestDistToSet:
+    """grmse's per-point distances are the exact distance from each point
+    of the evaluation set to the nearest reference point."""
+
     def test_member_is_zero(self):
         cloud = PointCloud(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert dist_to_set(np.array([3.0, 4.0]), cloud) == 0.0
+        d = grmse(PointCloud(np.array([[3.0, 4.0]])), cloud)
+        np.testing.assert_array_equal(d.per_point_distances, [0.0])
 
     def test_direct(self):
         ref = PointCloud(np.array([[0.0, 0.0], [5.0, 0.0]]))
-        assert dist_to_set(np.array([2.0, 0.0]), ref) == 2.0
+        d = grmse(PointCloud(np.array([[2.0, 0.0]])), ref)
+        np.testing.assert_array_equal(d.per_point_distances, [2.0])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         ref = PointCloud(rng.normal(size=(500, 3)))
         queries = rng.normal(size=(30, 3))
-        fast = dists_to_set(queries, ref)
+        fast = grmse(PointCloud(queries), ref).per_point_distances
         for q, f in zip(queries, fast):
-            slow = min(np.linalg.norm(ref.points - q, axis=1))
-            assert abs(dist_to_set(q, ref) - slow) < 1e-12
-            assert abs(f - slow) < 1e-12
+            assert abs(f - dist_to_set(q, ref)) < 1e-12
 
     def test_empty_reference(self):
         with pytest.raises(ValueError):
-            dist_to_set(np.zeros(2), PointCloud(np.empty((0, 2))))
+            grmse(PointCloud(np.zeros((1, 2))), PointCloud(np.empty((0, 2))))
 
     def test_union_is_min(self):
         rng = np.random.default_rng(4)
         s1 = rng.normal(size=(20, 2))
         s2 = rng.normal(size=(30, 2))
-        p = rng.normal(size=2)
-        d_union = dist_to_set(p, PointCloud(np.vstack([s1, s2])))
-        d_min = min(dist_to_set(p, PointCloud(s1)), dist_to_set(p, PointCloud(s2)))
-        assert abs(d_union - d_min) < 1e-15
+        p = PointCloud(rng.normal(size=(1, 2)))
+
+        def dist(ref):
+            return grmse(p, PointCloud(ref)).per_point_distances[0]
+
+        d_union = dist(np.vstack([s1, s2]))
+        assert abs(d_union - min(dist(s1), dist(s2))) < 1e-15

@@ -28,7 +28,8 @@ def test_cloud_rejects_nonfinite():
 
 
 _CLOUD = PointCloud(np.arange(12.0).reshape(6, 2))
-_TRACE = DenoiseTrace([_CLOUD, _CLOUD], [GpHyperParams(1.0, 1.0, 0.1)])
+_TRACE = DenoiseTrace([_CLOUD, _CLOUD], [GpHyperParams(1.0, 1.0, 0.1)],
+                      [0.0] * _CLOUD.n)
 _CONFIG = dict(epsilon=0.3, delta=0.6, intrinsic_dim=1)
 
 
@@ -52,6 +53,21 @@ _CONFIG = dict(epsilon=0.3, delta=0.6, intrinsic_dim=1)
 def test_counts_must_be_integers(name, call):
     with pytest.raises(ValueError, match=f"{name} must be >= .* integer"):
         call()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True],
+                         ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda seed: gen_cassini(5, seed=seed),
+    lambda seed: gen_torus(5, seed=seed),
+    lambda seed: gen_ellipsoid_embedded(5, seed=seed),
+    lambda seed: NoiseSpec(0.1, seed),
+    lambda seed: interpolate(_TRACE, DenoiseConfig(**_CONFIG), K=2,
+                             seed=seed),
+], ids=["cassini", "torus", "ellipsoid", "noise", "interpolate"])
+def test_seed_is_a_nonnegative_integer(call, seed):
+    with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+        call(seed)
 
 
 def test_cloud_is_immutable():
@@ -120,6 +136,15 @@ class TestCsv:
             for path in (plain, spaced):
                 with pytest.raises(CsvFormatError, match=message):
                     load_csv(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"1,2,3\n4,5,6\n")
+        for text in (b"1,2,3\n4,5,6\n", b"x,y,z\n1,2,3\n4,5,6\n"):
+            bom = tmp_path / "bom.csv"
+            bom.write_bytes(b"\xef\xbb\xbf" + text)
+            np.testing.assert_array_equal(load_csv(bom).points,
+                                          load_csv(plain).points)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
