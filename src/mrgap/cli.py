@@ -19,19 +19,12 @@ from .denoiser import DenoiseConfig, DenoiseTrace, denoise
 from .evaluation import grmse
 from .interpolator import interpolate
 from .local_geometry import InsufficientNeighborsError
-from .point_cloud import (
-    NoiseSpec,
-    PointCloud,
-    add_gaussian_noise,
-    gen_cassini,
-    gen_ellipsoid_embedded,
-    gen_torus,
-    load_csv,
-    save_csv,
-)
+from .point_cloud import (NoiseSpec, PointCloud, add_gaussian_noise,
+                          gen_cassini, gen_ellipsoid_embedded, gen_torus,
+                          load_csv, save_csv)
 from .spectral_dim import DimensionEstimateError, estimate_dimension
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 _GENERATORS = {
     "cassini": gen_cassini,
@@ -47,37 +40,29 @@ _NUMERICAL = (InsufficientNeighborsError, gp.FactorizationError,
 
 
 class CliError(Exception):
-    """A malformed field of a trace file.  main maps it, like every
-    ValueError and OSError, to exit 2."""
+    """An unreadable trace file or a malformed field of one.  main maps it,
+    like every ValueError and OSError, to exit 2."""
 
 
-def _encode_cloud(cloud: PointCloud) -> dict:
-    """A cloud as its shape and base64 little-endian float64 bytes."""
-    pts = cloud.points.astype("<f8", copy=False)
-    return {"shape": list(pts.shape), "dtype": "<f8",
-            "data": base64.b64encode(pts.tobytes()).decode("ascii")}
+# The JSON kind of each config and hyperparameter field of a trace.
+_CONFIG = {"epsilon": "number", "delta": "number", "intrinsic_dim": "integer",
+           "max_iter": "integer"}
+_HYPER = {"A": "number", "rho": "number", "sigma": "number"}
 
 
 def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
-    """The trace document: config, fitted hyperparameters, last-round
-    variances, and only the last two clouds, which is all that interpolate
-    reads.  rounds and sigma_history are derived from the hyperparameters,
-    written for readers of the file and never read back."""
+    """The trace document: the config, every round's fitted
+    hyperparameters, the last round's variances, and clouds[-2] (which
+    interpolate reads) and clouds[-1] (the denoised output) as one base64
+    block of little-endian float64 of shape [2, n, D]."""
+    pair = np.stack([c.points for c in trace.clouds[-2:]], dtype="<f8")
     return {
         "schema": TRACE_SCHEMA,
-        "config": {
-            "epsilon": config.epsilon,
-            "delta": config.delta,
-            "intrinsic_dim": config.intrinsic_dim,
-            "max_iter": config.max_iter,
-        },
-        "rounds": trace.rounds,
-        "hypers": [
-            {"A": h.A, "rho": h.rho, "sigma": h.sigma} for h in trace.hypers
-        ],
-        "sigma_history": list(trace.sigma_history),
+        "config": {k: getattr(config, k) for k in _CONFIG},
+        "hypers": [{k: getattr(h, k) for k in _HYPER} for h in trace.hypers],
         "predictive_variances": list(trace.predictive_variances),
-        "clouds": [_encode_cloud(c) for c in trace.clouds[-2:]],
+        "clouds": {"shape": list(pair.shape),
+                   "data": base64.b64encode(pair.tobytes()).decode("ascii")},
     }
 
 
@@ -106,82 +91,56 @@ def _field(obj: dict, key: str, kind: str, where: str = ""):
     return _check(obj[key], kind, name)
 
 
-def _numbers(doc: dict, key: str) -> list[float]:
-    values = _field(doc, key, "list")
-    for i, v in enumerate(values):
-        _check(v, "number", f"{key}[{i}]")
-    return list(values)
-
-
-def _decode_cloud(doc, where: str) -> PointCloud:
-    _check(doc, "object", where)
-    shape = _field(doc, "shape", "list", where)
-    if len(shape) != 2 or not all(_KINDS["integer"](x) and x > 0
-                                  for x in shape):
-        raise CliError(f"trace: field '{where}.shape' must be [n, D], "
-                       f"both positive integers")
-    if _field(doc, "dtype", "string", where) != "<f8":
-        raise CliError(f"trace: field '{where}.dtype' must be '<f8'")
-    try:
-        raw = base64.b64decode(_field(doc, "data", "string", where),
-                               validate=True)
-    except ValueError as exc:
-        raise CliError(f"trace: field '{where}.data' is not base64: {exc}") \
-            from exc
-    n, D = shape
-    if len(raw) != 8 * n * D:
-        raise CliError(f"trace: field '{where}.data' holds {len(raw)} bytes, "
-                       f"shape {shape} needs {8 * n * D}")
-    try:
-        return PointCloud(np.frombuffer(raw, dtype="<f8").reshape(n, D))
-    except ValueError as exc:
-        raise CliError(f"trace: field {where!r}: {exc}") from exc
+def _fields(obj: dict, kinds: dict, where: str) -> dict:
+    """The fields of obj named in kinds, each checked to be of its kind."""
+    return {k: _field(obj, k, kind, where) for k, kind in kinds.items()}
 
 
 def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
-    """The trace and config of a schema-2 document.  A missing or
-    ill-typed field raises CliError naming it.  rounds and sigma_history
-    are not read: the hyperparameters determine them."""
+    """The trace and config of a schema-3 document: its two clouds are the
+    clouds[-2] and clouds[-1] of the trace written.  A missing or
+    ill-typed field, or a value the library rejects, raises CliError
+    naming the field."""
     if not isinstance(doc, dict):
         raise CliError("trace: not a JSON object")
     if doc.get("schema") != TRACE_SCHEMA:
-        raise CliError(
-            f"trace: field 'schema' is {doc.get('schema')!r}, this version "
-            f"reads schema {TRACE_SCHEMA}; re-run `mrgap denoise "
-            f"--trace-out` to write a new trace")
-    cfg = _field(doc, "config", "object")
+        raise CliError(f"trace: field 'schema' is {doc.get('schema')!r}, this "
+                       f"version reads schema {TRACE_SCHEMA}; re-run `mrgap "
+                       f"denoise --trace-out` to write a new trace")
     try:
-        config = DenoiseConfig(
-            epsilon=_field(cfg, "epsilon", "number", "config"),
-            delta=_field(cfg, "delta", "number", "config"),
-            intrinsic_dim=_field(cfg, "intrinsic_dim", "integer", "config"),
-            max_iter=_field(cfg, "max_iter", "integer", "config"),
-        )
+        config = DenoiseConfig(**_fields(_field(doc, "config", "object"),
+                                         _CONFIG, "config"))
     except ValueError as exc:
         raise CliError(f"trace: field 'config': {exc}") from exc
     hypers = []
     for i, h in enumerate(_field(doc, "hypers", "list")):
         where = f"hypers[{i}]"
-        _check(h, "object", where)
         try:
             hypers.append(gp.GpHyperParams(
-                *(_field(h, k, "number", where) for k in ("A", "rho", "sigma"))))
+                **_fields(_check(h, "object", where), _HYPER, where)))
         except ValueError as exc:
             raise CliError(f"trace: field {where!r}: {exc}") from exc
-    if not hypers:
-        raise CliError("trace: field 'hypers' is empty")
-    variances = _numbers(doc, "predictive_variances")
-    encoded = _field(doc, "clouds", "list")
-    if len(encoded) != 2:
-        raise CliError(f"trace: field 'clouds' must hold 2 clouds, "
-                       f"not {len(encoded)}")
-    clouds = [_decode_cloud(c, f"clouds[{i}]") for i, c in enumerate(encoded)]
-    if clouds[0].points.shape != clouds[1].points.shape:
-        raise CliError("trace: field 'clouds': the two shapes differ")
+    variances = _field(doc, "predictive_variances", "list")
+    for i, v in enumerate(variances):
+        _check(v, "number", f"predictive_variances[{i}]")
+    block = _field(doc, "clouds", "object")
+    shape = _field(block, "shape", "list", "clouds")
+    if not (len(shape) == 3 and shape[0] == 2
+            and all(_KINDS["integer"](x) and x > 0 for x in shape)):
+        raise CliError("trace: field 'clouds.shape' must be [2, n, D], "
+                       "n and D positive integers")
+    data = _field(block, "data", "string", "clouds")
+    try:
+        raw = base64.b64decode(data, validate=True)
+        clouds = [PointCloud(p) for p in
+                  np.frombuffer(raw, dtype="<f8").reshape(shape)]
+    except ValueError as exc:
+        raise CliError(f"trace: field 'clouds.data': {exc}") from exc
     try:
         return DenoiseTrace(clouds, hypers, variances), config
     except ValueError as exc:
-        raise CliError(f"trace: field 'predictive_variances': {exc}") from exc
+        # DenoiseTrace names the field in its message.
+        raise CliError(f"trace: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -206,13 +165,9 @@ def cmd_generate(args) -> int:
 
 def cmd_denoise(args) -> int:
     cloud = load_csv(args.input)
-    config = DenoiseConfig(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        intrinsic_dim=args.d,
-        sigma_tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    config = DenoiseConfig(epsilon=args.epsilon, delta=args.delta,
+                           intrinsic_dim=args.d, sigma_tol=args.tol,
+                           max_iter=args.max_iter)
     trace = denoise(cloud, config)
     save_csv(trace.clouds[-1], args.out)
     if args.trace_out:
@@ -225,10 +180,14 @@ def cmd_denoise(args) -> int:
 
 def cmd_interpolate(args) -> int:
     with open(args.trace) as fh:
-        trace, config = trace_from_json(json.load(fh))
-    cloud, chart_idx = interpolate(
-        trace, config, args.k, args.seed, return_chart_index=True
-    )
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise CliError(f"trace: {args.trace}: not a readable JSON "
+                           f"document: {exc}") from None
+    trace, config = trace_from_json(doc)
+    cloud, chart_idx = interpolate(trace, config, args.k, args.seed,
+                                   return_chart_index=True)
     save_csv(cloud, args.out)
     if args.chart_index_out:
         with open(args.chart_index_out, "w") as fh:
@@ -263,10 +222,8 @@ def cmd_estimate_dim(args) -> int:
     print(profile.estimated_dim)
     if args.profile_out:
         width = max(len(lam) for lam in profile.lambda_bars)
-        rows = []
-        for eps, lam in zip(profile.epsilons, profile.lambda_bars):
-            row = [eps] + list(lam) + [np.nan] * (width - len(lam))
-            rows.append(row)
+        rows = [[eps, *lam] + [np.nan] * (width - len(lam))
+                for eps, lam in zip(profile.epsilons, profile.lambda_bars)]
         np.savetxt(args.profile_out, np.asarray(rows), delimiter=",",
                    fmt="%.17g")
     return 0

@@ -40,12 +40,12 @@ class DenoiseTrace:
     """Everything the interpolation phase needs from the denoising run.
 
     clouds[0] is the input, clouds[-1] the final denoised output; the
-    interpolator consumes clouds[-2] together with hypers[-1].  A trace
-    read from a file (mrgap.cli.trace_from_json) holds only its last two
-    clouds, clouds[-2] and clouds[-1]; its other fields are complete.
+    interpolator consumes clouds[-2] together with hypers[-1], and
     predictive_variances[k] is the last round's posterior variance at the
-    base of chart k, the point its displacement was predicted at: one
-    value per point of clouds[-1], or ValueError.
+    base of chart k, the point its displacement was predicted at.  A trace
+    holds at least 2 clouds, all of one shape, at least 1 fit, and one
+    finite, nonnegative variance per point of clouds[-1]; anything else
+    raises ValueError naming the field.
     """
 
     clouds: list[PointCloud]
@@ -53,10 +53,18 @@ class DenoiseTrace:
     predictive_variances: list[float]
 
     def __post_init__(self):
-        if len(self.predictive_variances) != self.clouds[-1].n:
-            raise ValueError(f"predictive_variances holds "
-                             f"{len(self.predictive_variances)} values, "
-                             f"clouds[-1] {self.clouds[-1].n} points")
+        if len(self.clouds) < 2 or len({c.points.shape
+                                        for c in self.clouds}) > 1:
+            raise ValueError("field 'clouds' must hold at least 2 clouds, "
+                             "all of one shape")
+        if not self.hypers:
+            raise ValueError("field 'hypers' must hold at least 1 fit")
+        var = np.asarray(self.predictive_variances, dtype=float)
+        n = self.clouds[-1].n
+        if var.shape != (n,) or not np.all((0 <= var) & (var < np.inf)):
+            raise ValueError(f"field 'predictive_variances' must hold one "
+                             f"finite, nonnegative value per point of "
+                             f"clouds[-1]: {var.size} values, {n} points")
 
     @property
     def rounds(self) -> int:
@@ -67,11 +75,9 @@ class DenoiseTrace:
         return [h.sigma for h in self.hypers]
 
 
-def denoise_round(
-    cloud: PointCloud,
-    config: DenoiseConfig,
-    hyper_warm: gp.GpHyperParams | None = None,
-) -> tuple[PointCloud, gp.GpHyperParams, np.ndarray]:
+def denoise_round(cloud: PointCloud, config: DenoiseConfig,
+                  hyper_warm: gp.GpHyperParams | None = None,
+                  ) -> tuple[PointCloud, gp.GpHyperParams, np.ndarray]:
     """One denoising pass: returns (new cloud, fitted hyperparameters,
     per-point predictive variance at the chart origin)."""
     charts = build_charts(cloud, config.epsilon, config.delta,
@@ -93,20 +99,15 @@ def denoise(cloud: PointCloud, config: DenoiseConfig) -> DenoiseTrace:
     max_iter is reached, recording every intermediate cloud."""
     clouds = [cloud]
     hypers: list[gp.GpHyperParams] = []
-    variances: list[float] = []
     tol = config.sigma_tol
     for _ in range(config.max_iter):
         new_cloud, hyper, var = denoise_round(
             clouds[-1], config, hypers[-1] if hypers else None)
         clouds.append(new_cloud)
         hypers.append(hyper)
-        variances = list(var)
         if tol is None:
             tol = 0.05 * hypers[0].sigma
         if len(hypers) >= 2 and abs(hypers[-1].sigma - hypers[-2].sigma) <= tol:
             break
-    return DenoiseTrace(
-        clouds=clouds,
-        hypers=hypers,
-        predictive_variances=variances,
-    )
+    # max_iter >= 1, so var holds the last round's variances.
+    return DenoiseTrace(clouds, hypers, list(var))

@@ -55,8 +55,6 @@ def interpolate(
     and last-round hyperparameters, gluing each chart to the points that
     earlier charts produced.  Returns n*K points, fewer only if degenerate
     charts were skipped."""
-    if len(trace.clouds) < 2:
-        raise ValueError("trace must contain at least 2 clouds")
     _check_count(K, "K")
     _check_count(seed, "seed", 0)
     cloud = trace.clouds[-2]

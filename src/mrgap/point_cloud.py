@@ -70,37 +70,61 @@ class NoiseSpec:
         _check_count(self.seed, "seed", 0)
 
 
+def _split(path, rows: list[str], start: int):
+    """(1-based row number, cells) of each CSV row of rows[start:]; a cell
+    over the csv module's field size limit raises CsvFormatError."""
+    i = start
+    try:
+        for i, cells in enumerate(csv.reader(rows[start:]), start + 1):
+            yield i, cells
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: row {i + 1}: {exc}")
+
+
 def _bad_row(path, rows: list[str], start: int) -> CsvFormatError | None:
     """The error naming the first ragged or non-numeric row of rows[start:],
     if float() finds one."""
     width = None
-    for i, row in enumerate(csv.reader(rows[start:]), start=start):
+    for i, row in _split(path, rows, start):
         width = len(row) if width is None else width
         if len(row) != width:
             return CsvFormatError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected {width}"
-            )
+                f"{path}: row {i} has {len(row)} fields, expected {width}")
         for j, cell in enumerate(row):
             try:
                 float(cell)
             except ValueError:
                 return CsvFormatError(
-                    f"{path}: row {i + 1}, column {j + 1}: not numeric: {cell!r}"
-                )
+                    f"{path}: row {i}, column {j + 1}: not numeric: {cell!r}")
+    return None
+
+
+def _not_utf8(path) -> CsvFormatError | None:
+    """The error naming the line of path's first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            return CsvFormatError(f"{path}: line {line}: {exc}")
     return None
 
 
 def load_csv(path) -> PointCloud:
-    """Read one point per row from a comma-separated file.
+    """Read one point per row from a comma-separated UTF-8 file.
 
     A non-numeric first row is treated as a header and skipped; blank
     rows, whitespace-only ones included, and a UTF-8 byte-order mark are
-    skipped.  Ragged, non-numeric or non-finite (nan, inf) cells raise
-    CsvFormatError naming the offending row and column (1-based among the
-    non-blank rows, counting the header if present).
+    skipped.  Ragged, non-numeric, non-finite (nan, inf) or oversized
+    cells raise CsvFormatError naming the row and column (1-based among
+    the non-blank rows, counting the header if present), and so does a
+    byte that is not UTF-8, naming its line.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        rows = [line for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            rows = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) or CsvFormatError(f"{path}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     start = 0 if _bad_row(path, rows[:1], 0) is None else 1
@@ -116,9 +140,9 @@ def load_csv(path) -> PointCloud:
             f"{path}: {exc}") from None
     if not np.all(np.isfinite(data)):
         i, j = np.argwhere(~np.isfinite(data))[0]
-        cell = next(csv.reader(rows[start + i:start + i + 1]))[j]
-        raise CsvFormatError(f"{path}: row {start + i + 1}, column {j + 1}: "
-                             f"not finite: {cell!r}")
+        row, cells = next(_split(path, rows, start + i))
+        raise CsvFormatError(f"{path}: row {row}, column {j + 1}: "
+                             f"not finite: {cells[j]!r}")
     return PointCloud(data)
 
 

@@ -17,6 +17,20 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def trace_clouds(doc):
+    """The [2, n, D] array of a trace document's clouds."""
+    block = doc["clouds"]
+    return np.frombuffer(base64.b64decode(block["data"]),
+                         dtype="<f8").reshape(block["shape"])
+
+
+def edit_clouds(doc, edit):
+    """Apply edit in place to the [2, n, D] array of a trace's clouds."""
+    pair = trace_clouds(doc).copy()
+    edit(pair)
+    doc["clouds"]["data"] = base64.b64encode(pair.tobytes()).decode("ascii")
+
+
 class TestGenerate:
     def test_clean_cassini(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -111,14 +125,14 @@ class TestDenoise:
         cloud = load_csv(str(out))
         assert (cloud.n, cloud.ambient_dim) == (102, 3)
         doc = json.loads(trace.read_text())
-        assert doc["schema"] == 2
-        assert doc["rounds"] == 2
-        assert len(doc["sigma_history"]) == 2
-        assert len(doc["clouds"]) == 2
-        last = doc["clouds"][-1]
-        assert last["shape"] == [102, 3] and last["dtype"] == "<f8"
-        decoded = np.frombuffer(base64.b64decode(last["data"]), dtype="<f8")
-        np.testing.assert_array_equal(decoded.reshape(102, 3), cloud.points)
+        assert list(doc) == ["schema", "config", "hypers",
+                             "predictive_variances", "clouds"]
+        assert doc["schema"] == 3
+        assert len(doc["hypers"]) == 2
+        assert len(doc["predictive_variances"]) == 102
+        assert list(doc["clouds"]) == ["shape", "data"]
+        assert doc["clouds"]["shape"] == [2, 102, 3]
+        np.testing.assert_array_equal(trace_clouds(doc)[1], cloud.points)
 
     def test_trace_bytes_are_json_dumps(self, tmp_path, noisy_csv,
                                         monkeypatch):
@@ -164,16 +178,26 @@ class TestDenoise:
         assert back.predictive_variances == synthetic.predictive_variances
 
     def test_every_trace_round_trips(self):
-        # A trace holds one variance per point of its last cloud, so the
-        # reader accepts every trace the writer can be given.
+        # DenoiseTrace rejects every trace the reader would reject for its
+        # clouds, fits or variances, so the reader accepts every trace the
+        # writer can be given.
         rng = np.random.default_rng(1)
         clouds = [PointCloud(rng.normal(size=(5, 3))) for _ in range(3)]
         hypers = [GpHyperParams(1.0, 0.5, 0.1), GpHyperParams(1.0, 0.4, 0.1)]
+        variances = [0.1] * 5
         with pytest.raises(TypeError):
             DenoiseTrace(clouds, hypers)
-        for bad in ([], [0.1] * 4):
-            with pytest.raises(ValueError, match="predictive_variances"):
+        for bad in ([], [0.1] * 4, [0.1] * 4 + [-1e-300], [0.1] * 4 + [np.nan],
+                    [0.1] * 4 + [np.inf]):
+            with pytest.raises(ValueError, match="'predictive_variances'"):
                 DenoiseTrace(clouds, hypers, bad)
+        for bad in (clouds[:1],
+                    clouds[:2] + [PointCloud(rng.normal(size=(5, 4)))],
+                    [PointCloud(rng.normal(size=(4, 3)))] + clouds[1:]):
+            with pytest.raises(ValueError, match="'clouds'"):
+                DenoiseTrace(bad, hypers, variances)
+        with pytest.raises(ValueError, match="'hypers'"):
+            DenoiseTrace(clouds, [], variances)
         trace = DenoiseTrace(clouds, hypers, list(rng.uniform(size=5)))
         config = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1)
         back, back_config = cli.trace_from_json(
@@ -292,6 +316,25 @@ class TestInterpolateAndEvaluate:
                     "--out", tmp_path / "o.csv"]) == 2
         assert "re-run `mrgap denoise --trace-out`" in capsys.readouterr().err
 
+    def test_schema_2_trace_asks_for_rerun(self, tmp_path, pipeline, capsys):
+        # The schema-2 layout of the same trace: the round count, the sigma
+        # history, and each cloud as its own shape, dtype and data.
+        _, _, _, trace = pipeline
+        doc = json.loads(trace.read_text())
+        doc.update(
+            schema=2, rounds=len(doc["hypers"]),
+            sigma_history=[h["sigma"] for h in doc["hypers"]],
+            clouds=[{"shape": list(c.shape), "dtype": "<f8",
+                     "data": base64.b64encode(c.tobytes()).decode("ascii")}
+                    for c in trace_clouds(doc)])
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(doc))
+        assert run(["interpolate", "--trace", old, "--k", 2,
+                    "--out", tmp_path / "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'schema' is 2" in err
+        assert "re-run `mrgap denoise --trace-out`" in err
+
     @pytest.mark.parametrize("field, corrupt", [
         ("config", lambda doc: doc.pop("config")),
         ("config.epsilon", lambda doc: doc["config"].pop("epsilon")),
@@ -307,18 +350,23 @@ class TestInterpolateAndEvaluate:
          lambda doc: doc["predictive_variances"].__setitem__(3, "x")),
         ("predictive_variances",
          lambda doc: doc.update(predictive_variances=[0.5])),
-        ("clouds", lambda doc: doc["clouds"].pop()),
-        ("clouds[0].shape", lambda doc: doc["clouds"][0].update(shape=[306])),
-        ("clouds[0].shape",
-         lambda doc: doc["clouds"][0].update(shape=[102, "3"])),
-        ("clouds[1].dtype", lambda doc: doc["clouds"][1].update(dtype="<f4")),
-        ("clouds[1].data", lambda doc: doc["clouds"][1].pop("data")),
-        ("clouds[1].data",
-         lambda doc: doc["clouds"][1].update(data="not base64!")),
-        ("clouds[0].data", lambda doc: doc["clouds"][0].update(
-            data=doc["clouds"][0]["data"][:-8])),
-        ("clouds", lambda doc: doc["clouds"][1].update(
-            shape=[51, 6])),
+        ("clouds", lambda doc: doc.pop("clouds")),
+        ("clouds", lambda doc: doc.update(clouds=[doc["clouds"]] * 2)),
+        ("clouds.shape", lambda doc: doc["clouds"].update(shape=[612])),
+        ("clouds.shape",
+         lambda doc: doc["clouds"].update(shape=[2, 102, "3"])),
+        ("clouds.shape",
+         lambda doc: doc["clouds"].update(shape=[3, 102, 3])),
+        ("clouds.shape",
+         lambda doc: doc["clouds"].update(shape=[2, 0, 3])),
+        ("clouds.data", lambda doc: doc["clouds"].pop("data")),
+        ("clouds.data", lambda doc: doc["clouds"].update(data="not base64!")),
+        ("clouds.data", lambda doc: doc["clouds"].update(
+            data=doc["clouds"]["data"][:-8])),
+        ("clouds.data",
+         lambda doc: edit_clouds(doc, lambda p: p.__setitem__(0, np.nan))),
+        ("predictive_variances",
+         lambda doc: doc["predictive_variances"].__setitem__(3, -0.5)),
     ])
     def test_malformed_trace_is_input_error(self, tmp_path, pipeline, capsys,
                                             field, corrupt):
@@ -336,8 +384,8 @@ class TestInterpolateAndEvaluate:
         lambda doc: doc.update(sigma_history=[-1.0, 0.5, 2.0]),
     ])
     def test_sigma_history_is_not_read(self, tmp_path, pipeline, edit):
-        # sigma_history is derived from hypers, so the file's copy is
-        # written for readers only and never trusted.
+        # sigma_history is derived from hypers, so the trace does not hold
+        # it, and a field of that name is ignored.
         _, _, _, trace = pipeline
         doc = json.loads(trace.read_text())
         edit(doc)
@@ -485,6 +533,34 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, text, command, named", [
+        ("deep.json", "[" * 200000 + "]" * 200000, "interpolate", ""),
+        ("huge.csv", "1,2,3\n" + "9" * 200000 + ",1,1\n", "evaluate",
+         ": row 2: field larger than field limit"),
+        ("huge.csv", "1,2,3\n" + "x" * 200000 + ",1,1\n", "evaluate",
+         ": row 2: field larger than field limit"),
+        ("latin.csv", b"1,2,3\n4,5,\xe96\n", "evaluate", ": line 2: "),
+        ("latin.csv", b"\xef\xbb\xbfx,\xe9,z\n\n1,2,3\n", "evaluate",
+         ": line 1: "),
+    ], ids=["deep-trace", "huge-number", "huge-text", "latin-1",
+            "latin-1-header"])
+    def test_unreadable_file_is_named(self, tmp_path, capsys, name, text,
+                                      command, named):
+        path = tmp_path / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        out = tmp_path / "o.csv"
+        argv = {"interpolate": ["interpolate", "--trace", path, "--k", 2,
+                                "--out", out],
+                "evaluate": ["evaluate", "--in", path, "--ref", path]}
+        assert run(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"{path}{named}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["generate", "--shape", "torus", "--n", 5, "--seed", -3,
          "--out", "OUT"],
@@ -545,11 +621,11 @@ class TestNumericalExitCode:
             self, tmp_path, pipeline, capsys):
         _, _, _, trace = pipeline
         doc = json.loads(trace.read_text())
-        first = doc["clouds"][0]
-        pts = np.frombuffer(base64.b64decode(first["data"]),
-                            dtype="<f8").reshape(first["shape"]).copy()
-        pts[0] += 100.0
-        first["data"] = base64.b64encode(pts.tobytes()).decode("ascii")
+
+        def isolate(pair):
+            pair[0, 0] += 100.0
+
+        edit_clouds(doc, isolate)
         bad = tmp_path / "isolated.json"
         bad.write_text(json.dumps(doc))
         assert run(["interpolate", "--trace", bad, "--k", 2,

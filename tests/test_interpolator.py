@@ -149,11 +149,12 @@ class TestInterpolate:
         assert grmse(out, truth).value <= 0.035
 
     def test_rejects_short_trace(self):
+        # A trace of one cloud has no clouds[-2] to interpolate from, and
+        # DenoiseTrace refuses to build it.
         trace, cfg = flat_plane_trace()
-        short = DenoiseTrace(clouds=trace.clouds[:1], hypers=trace.hypers,
-                             predictive_variances=trace.predictive_variances)
-        with pytest.raises(ValueError):
-            interpolate(short, cfg, K=2)
+        with pytest.raises(ValueError, match="'clouds'"):
+            DenoiseTrace(clouds=trace.clouds[:1], hypers=trace.hypers,
+                         predictive_variances=trace.predictive_variances)
 
     def test_rejects_bad_k(self):
         trace, cfg = flat_plane_trace()
