@@ -352,13 +352,18 @@ class TestInterpolateAndEvaluate:
          lambda doc: doc.update(predictive_variances=[0.5])),
         ("clouds", lambda doc: doc.pop("clouds")),
         ("clouds", lambda doc: doc.update(clouds=[doc["clouds"]] * 2)),
-        ("clouds.shape", lambda doc: doc["clouds"].update(shape=[612])),
-        ("clouds.shape",
-         lambda doc: doc["clouds"].update(shape=[2, 102, "3"])),
-        ("clouds.shape",
-         lambda doc: doc["clouds"].update(shape=[3, 102, 3])),
-        ("clouds.shape",
-         lambda doc: doc["clouds"].update(shape=[2, 0, 3])),
+        pytest.param("clouds.shape",
+                     lambda doc: doc["clouds"].update(shape=[612]),
+                     id="clouds.shape-rank"),
+        pytest.param("clouds.shape",
+                     lambda doc: doc["clouds"].update(shape=[2, 102, "3"]),
+                     id="clouds.shape-type"),
+        pytest.param("clouds.shape",
+                     lambda doc: doc["clouds"].update(shape=[3, 102, 3]),
+                     id="clouds.shape-count"),
+        pytest.param("clouds.shape",
+                     lambda doc: doc["clouds"].update(shape=[2, 0, 3]),
+                     id="clouds.shape-empty"),
         ("clouds.data", lambda doc: doc["clouds"].pop("data")),
         ("clouds.data", lambda doc: doc["clouds"].update(data="not base64!")),
         ("clouds.data", lambda doc: doc["clouds"].update(
