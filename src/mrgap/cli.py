@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import json
 import os
 import sys
@@ -143,6 +144,37 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
         raise CliError(f"trace: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Text handles to write each path, None where a path is not given, all
+    opened before any is written.  If one cannot be opened, two name the
+    same file, or the body fails, the files this call created are removed;
+    a file that already existed is emptied only once every path is open."""
+    created = []
+    with contextlib.ExitStack() as stack:
+        try:
+            handles = []
+            for path in paths:
+                new = bool(path) and not os.path.exists(path)
+                handles.append(stack.enter_context(open(path, "a"))
+                               if path else None)
+                if new:
+                    created.append(path)
+            opened = [fh for fh in handles if fh]
+            # (inode, device): one file under two names counts as one.
+            if len({os.fstat(fh.fileno())[1:3] for fh in opened}) < len(opened):
+                raise ValueError("two output paths name one file: "
+                                 + ", ".join(p for p in paths if p))
+            for fh in opened:
+                fh.truncate(0)
+            yield handles
+        except BaseException:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+
+
 def cmd_generate(args) -> int:
     gen = _GENERATORS[args.shape]
     extra = {}
@@ -152,14 +184,16 @@ def cmd_generate(args) -> int:
         extra["ambient_dim"] = args.ambient_dim
     clean = gen(args.n, seed=args.seed, **extra)
     noise = NoiseSpec(args.sigma, args.seed + 1)
-    base, ext = os.path.splitext(args.out)
-    clean_path = args.out if noise.sigma == 0 else f"{base}_clean{ext}"
-    save_csv(clean, clean_path)
-    print(clean_path)
-    if noise.sigma > 0:
-        noisy = add_gaussian_noise(clean, noise)
-        save_csv(noisy, args.out)
-        print(args.out)
+    if noise.sigma == 0:
+        written = {args.out: clean}
+    else:
+        base, ext = os.path.splitext(args.out)
+        written = {f"{base}_clean{ext}": clean,
+                   args.out: add_gaussian_noise(clean, noise)}
+    with _outputs(*written) as handles:
+        for cloud, fh in zip(written.values(), handles):
+            save_csv(cloud, fh)
+    print("\n".join(written))
     return 0
 
 
@@ -169,11 +203,11 @@ def cmd_denoise(args) -> int:
                            intrinsic_dim=args.d, sigma_tol=args.tol,
                            max_iter=args.max_iter)
     trace = denoise(cloud, config)
-    save_csv(trace.clouds[-1], args.out)
-    if args.trace_out:
-        # json.dumps runs the C encoder; json.dump the pure-Python one.
-        with open(args.trace_out, "w") as fh:
-            fh.write(json.dumps(trace_to_json(trace, config)))
+    with _outputs(args.out, args.trace_out) as (out, trace_out):
+        save_csv(trace.clouds[-1], out)
+        if trace_out:
+            # json.dumps runs the C encoder; json.dump the pure-Python one.
+            trace_out.write(json.dumps(trace_to_json(trace, config)))
     print(args.out)
     return 0
 
@@ -188,10 +222,10 @@ def cmd_interpolate(args) -> int:
     trace, config = trace_from_json(doc)
     cloud, chart_idx = interpolate(trace, config, args.k, args.seed,
                                    return_chart_index=True)
-    save_csv(cloud, args.out)
-    if args.chart_index_out:
-        with open(args.chart_index_out, "w") as fh:
-            json.dump({"chart_index": chart_idx.tolist()}, fh)
+    with _outputs(args.out, args.chart_index_out) as (out, index_out):
+        save_csv(cloud, out)
+        if index_out:
+            json.dump({"chart_index": chart_idx.tolist()}, index_out)
     print(args.out)
     return 0
 
@@ -200,10 +234,10 @@ def cmd_evaluate(args) -> int:
     eval_set = load_csv(args.input)
     reference = load_csv(args.reference)
     report = grmse(eval_set, reference)
-    print(f"{report.value:.17g}")
     if args.distances_out:
         np.savetxt(args.distances_out, report.per_point_distances,
                    delimiter=",", fmt="%.17g")
+    print(f"{report.value:.17g}")
     return 0
 
 
@@ -219,13 +253,13 @@ def cmd_estimate_dim(args) -> int:
     profile = estimate_dimension(cloud, args.eps_dm,
                                  _list(args.embed_dims, int),
                                  _list(args.eps_grid, float))
-    print(profile.estimated_dim)
     if args.profile_out:
         width = max(len(lam) for lam in profile.lambda_bars)
         rows = [[eps, *lam] + [np.nan] * (width - len(lam))
                 for eps, lam in zip(profile.epsilons, profile.lambda_bars)]
         np.savetxt(args.profile_out, np.asarray(rows), delimiter=",",
                    fmt="%.17g")
+    print(profile.estimated_dim)
     return 0
 
 

@@ -43,7 +43,7 @@ from .local_geometry import ChartRegression
 S_FLOOR = 1e-18
 _LOG_2PI = np.log(2.0 * np.pi)
 # The fit keeps rho and the profiled A* within e^(+-_LOG_SPAN) of the
-# start's rho, so that its search box scales with the data.
+# start's rho and A, so that its search box scales with the data.
 _LOG_SPAN = 40.0
 # Cholesky jitter levels relative to the kernel scale A; the noise-free Gram
 # of duplicate predictors is exactly singular, so some jitter is routinely
@@ -156,10 +156,10 @@ def _factor(build, scale) -> np.ndarray:
     A, or one value per row (0 on rows that take no jitter).
 
     Each attempt factors a new matrix from build() in place, since a failed
-    attempt leaves its buffer partly overwritten.  SciPy's, like the solves
-    that follow it: NumPy and SciPy each bring their own threaded BLAS, and
-    alternating between the two made each call several times slower on two
-    cores.
+    attempt leaves its buffer partly overwritten.  The factorization is
+    SciPy's, like the solves that follow it: NumPy and SciPy each bring
+    their own threaded BLAS, and alternating between the two made each call
+    several times slower on two cores.
     """
     for level in _JITTERS:
         K = build()
@@ -342,10 +342,12 @@ def fit_hyperparams(
 
     A is profiled out; L-BFGS searches (log rho, log s), s = sigma^2 / A,
     from the init (by default the chart stack's default_start) and from
-    rho x10, /10 and s x100, /100.  The search box is the init's: rho and
-    A* stay within e^(+-40) of its rho, and s >= S_FLOOR.  So c X fits
-    c^2 A, c^2 rho and c sigma.  Deterministic, and the returned point is
-    never worse than the init nor than any start's optimum.
+    rho x10, /10 and s x100, /100.  Each parameter's box is relative to
+    the init: rho within e^(+-40) of its rho, A* within e^(+-40) of its A,
+    and s in [S_FLOOR, 1 / S_FLOOR].  So c X fits c^2 A, c^2 rho and
+    c sigma.  The fit returns the best point it evaluated.  The first is
+    the init's (rho, s) at the best A in a box that holds the init's A, so
+    the result is never worse than the init.  Deterministic.
     """
     if not charts:
         raise ValueError("charts list is empty")
@@ -358,57 +360,34 @@ def fit_hyperparams(
     # Scaled by qN so that the optimizer's tolerances do not depend on the
     # data size: unscaled, starts stopped after two evaluations at rho -> 0.
     qN = stack.q * stack.N
-    box = init.rho * np.exp([-_LOG_SPAN, _LOG_SPAN])
-
-    last: dict = {}
-
-    def profiled(theta) -> tuple[_Stats, float]:
-        """Statistics at theta and the maximizing A within the box.  The
-        last point is kept: L-BFGS usually returns the point it evaluated
-        last."""
-        key = tuple(theta)
-        if key not in last:
-            rho, s = np.exp(theta)
-            st = stack.stats(rho, s)
-            A = float(np.clip(st.T / qN, *box))
-            last.clear()
-            last[key] = st, A
-        return last[key]
+    span = np.exp([-_LOG_SPAN, _LOG_SPAN])
+    A_box = init.A * span
+    best_val, best = np.inf, None  # the lowest objective and its point
 
     def neg(theta):
+        nonlocal best_val, best
+        rho, s = np.exp(theta)
         try:
-            st, A = profiled(theta)
+            st = stack.stats(rho, s)
         except FactorizationError:
             return np.inf, np.zeros(2)
+        A = float(np.clip(st.T / qN, *A_box))
         # At a clamped A this is the full likelihood, else the profiled one
         # (whose gradient the envelope theorem makes the fixed-A gradient).
         value, grad = _value_grad(st, A)
-        return -value / qN, -grad[1:] / qN
-
-    def scaled(hyper: GpHyperParams) -> float:
-        # Through profiled: the first start, at init, reuses init's stats.
-        try:
-            st, _ = profiled(np.log([hyper.rho, hyper.sigma ** 2 / hyper.A]))
-        except FactorizationError:
-            return -np.inf
-        return _value_grad(st, hyper.A)[0] / qN
+        f = -value / qN
+        if f < best_val:
+            best_val = f
+            best = GpHyperParams(A, float(rho), float(np.sqrt(s * A)))
+        return f, -grad[1:] / qN
 
     t0 = np.log([init.rho, init.sigma ** 2 / init.A])
     starts = [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
                      for sign in (-1.0, 1.0)]
-    bounds = [np.log(box), (np.log(S_FLOOR), -np.log(S_FLOOR))]
-
-    best, best_val = init, scaled(init)
+    bounds = [np.log(init.rho * span), (np.log(S_FLOOR), -np.log(S_FLOOR))]
     for t in starts:
-        res = minimize(neg, t, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 200})
-        if not np.isfinite(res.fun):
-            continue
-        if -res.fun > best_val:
-            st, A = profiled(res.x)
-            best = GpHyperParams(A=A, rho=float(np.exp(res.x[0])),
-                                 sigma=float(np.sqrt(st.s * A)))
-            best_val = -res.fun
-    if not np.isfinite(best_val):
+        minimize(neg, t, jac=True, method="L-BFGS-B", bounds=bounds,
+                 options={"maxiter": 200})
+    if best is None:
         raise OptimizationError("factorization failed from every start")
     return best

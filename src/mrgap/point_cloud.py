@@ -147,7 +147,8 @@ def load_csv(path) -> PointCloud:
 
 
 def save_csv(cloud: PointCloud, path) -> None:
-    """Write one point per row; 17 significant digits for lossless round-trip."""
+    """Write one point per row to a path or an open text file; 17
+    significant digits for lossless round-trip."""
     np.savetxt(path, cloud.points, delimiter=",", fmt="%.17g")
 
 

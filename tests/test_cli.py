@@ -567,6 +567,47 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["denoise", "--in", "NOISY", "--epsilon", 0.3, "--delta", 0.6,
+         "--d", 1, "--max-iter", 2, "--out", "OUT", "--trace-out", "BAD"],
+        ["interpolate", "--trace", "TRACE", "--k", 2, "--out", "OUT",
+         "--chart-index-out", "BAD"],
+        ["evaluate", "--in", "NOISY", "--ref", "NOISY",
+         "--distances-out", "BAD"],
+        ["estimate-dim", "--in", "NOISY", "--eps-dm", 2.0,
+         "--profile-out", "BAD"],
+    ], ids=["denoise", "interpolate", "evaluate", "estimate-dim"])
+    def test_unopenable_output_writes_nothing(self, tmp_path, pipeline,
+                                              capsys, argv):
+        # Every output is opened before any is written, and the result is
+        # printed last: a path in a missing directory leaves no file and
+        # no output behind.
+        paths = {"NOISY": pipeline[1], "TRACE": pipeline[3],
+                 "OUT": tmp_path / "o.csv", "BAD": tmp_path / "nodir" / "x"}
+        assert run([paths.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert "nodir" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_unopenable_output_keeps_existing_files(self, tmp_path,
+                                                    pipeline):
+        out = tmp_path / "o.csv"
+        out.write_text("old\n")
+        assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
+                    "--out", out, "--chart-index-out",
+                    tmp_path / "nodir" / "x"]) == 2
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_one_file_named_twice_is_input_error(self, tmp_path, pipeline,
+                                                 capsys):
+        out = tmp_path / "o.csv"
+        assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
+                    "--out", out, "--chart-index-out", out]) == 2
+        assert "two output paths name one file" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["generate", "--shape", "torus", "--n", 5, "--seed", -3,
          "--out", "OUT"],
         ["interpolate", "--trace", "TRACE", "--k", 2, "--seed", -1,

@@ -6,6 +6,7 @@ from mrgap.point_cloud import PointCloud, gen_cassini
 
 from .oracles import (
     circle,
+    dist_to_set,
     grmse_analytic,
     plane,
     sandwich_gap_check,
@@ -151,3 +152,42 @@ class TestCassiniTruth:
         cloud = gen_cassini(200, seed=0)
         truth = gen_cassini(100_000, seed=1)
         assert grmse(cloud, truth).value <= 5e-3
+
+
+class TestDistToSet:
+    """grmse's per-point distances are the exact distance from each point
+    of the evaluation set to the nearest reference point."""
+
+    def test_member_is_zero(self):
+        cloud = PointCloud(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        d = grmse(PointCloud(np.array([[3.0, 4.0]])), cloud)
+        np.testing.assert_array_equal(d.per_point_distances, [0.0])
+
+    def test_direct(self):
+        ref = PointCloud(np.array([[0.0, 0.0], [5.0, 0.0]]))
+        d = grmse(PointCloud(np.array([[2.0, 0.0]])), ref)
+        np.testing.assert_array_equal(d.per_point_distances, [2.0])
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(3)
+        ref = PointCloud(rng.normal(size=(500, 3)))
+        queries = rng.normal(size=(30, 3))
+        fast = grmse(PointCloud(queries), ref).per_point_distances
+        for q, f in zip(queries, fast):
+            assert abs(f - dist_to_set(q, ref)) < 1e-12
+
+    def test_empty_reference(self):
+        with pytest.raises(ValueError):
+            grmse(PointCloud(np.zeros((1, 2))), PointCloud(np.empty((0, 2))))
+
+    def test_union_is_min(self):
+        rng = np.random.default_rng(4)
+        s1 = rng.normal(size=(20, 2))
+        s2 = rng.normal(size=(30, 2))
+        p = PointCloud(rng.normal(size=(1, 2)))
+
+        def dist(ref):
+            return grmse(p, PointCloud(ref)).per_point_distances[0]
+
+        d_union = dist(np.vstack([s1, s2]))
+        assert abs(d_union - min(dist(s1), dist(s2))) < 1e-15

@@ -613,9 +613,9 @@ def test_default_start_equals_chart_by_chart_oracle(charts):
 
 
 def test_each_likelihood_evaluation_computes_stats_once(monkeypatch):
-    # Every evaluation goes through the fit's one-entry cache, and the
-    # init's statistics serve the first start: no point is computed that
-    # L-BFGS did not ask for.
+    # The objective computes each point's statistics once, and the fit
+    # scores no point that L-BFGS did not ask for: neither the init nor
+    # any start's optimum is scored again.
     calls, results = [], []
     stats, minimize = gp._ChartStack.stats, gp.minimize
 
@@ -632,3 +632,42 @@ def test_each_likelihood_evaluation_computes_stats_once(monkeypatch):
     fit_hyperparams(noisy_charts(gen_cassini, 102, 0.04, 0.3, 0.6, 1))
     assert len(results) == 5
     assert len(calls) == sum(res.nfev for res in results)
+
+
+@pytest.mark.parametrize("charts, init", [
+    pytest.param(lambda: mixed_charts(23),
+                 GpHyperParams(A=0.5, rho=2.0, sigma=0.5), id="mixed"),
+    pytest.param(lambda: noisy_charts(gen_cassini, 102, 0.04, 0.3, 0.6, 1),
+                 None, id="cassini"),
+])
+def test_fit_is_the_best_point_evaluated(monkeypatch, charts, init):
+    values = []
+    minimize = gp.minimize
+
+    def minimize_spy(fun, x0, **kwargs):
+        def recorded(theta):
+            value, grad = fun(theta)
+            values.append(value)
+            return value, grad
+        return minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(gp, "minimize", minimize_spy)
+    charts = charts()
+    fitted = fit_hyperparams(charts, init)
+    qN = charts[0].codim * sum(c.predictors.shape[0] for c in charts)
+    best = -min(v for v in values if np.isfinite(v))
+    assert joint_log_marginal(charts, fitted) / qN == \
+        pytest.approx(best, rel=1e-12)
+
+
+def test_tiny_responses_leave_the_start():
+    # Responses 1e-20 of their O(1) predictors: A* lies far outside any box
+    # around the start's rho, but inside the one around the start's A.
+    rng = np.random.default_rng(11)
+    charts = [make_chart(rng.normal(size=(8, 2)),
+                         1e-20 * rng.normal(size=(8, 1))) for _ in range(6)]
+    start = gp._ChartStack.of_charts(charts).default_start()
+    fitted = fit_hyperparams(charts)
+    assert joint_log_marginal(charts, fitted) > \
+        joint_log_marginal(charts, start)
+    assert start.A * np.exp(-40) <= fitted.A <= start.A * np.exp(40)
