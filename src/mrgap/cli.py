@@ -11,6 +11,7 @@ import base64
 import contextlib
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .interpolator import interpolate
 from .local_geometry import InsufficientNeighborsError
 from .point_cloud import (NoiseSpec, PointCloud, add_gaussian_noise,
                           gen_cassini, gen_ellipsoid_embedded, gen_torus,
-                          load_csv, save_csv)
+                          load_csv)
 from .spectral_dim import DimensionEstimateError, estimate_dimension
 
 TRACE_SCHEMA = 3
@@ -38,11 +39,6 @@ _GENERATORS = {
 # ValueError, so main catches these first.
 _NUMERICAL = (InsufficientNeighborsError, gp.FactorizationError,
               gp.OptimizationError, DimensionEstimateError)
-
-
-class CliError(Exception):
-    """An unreadable trace file or a malformed field of one.  main maps it,
-    like every ValueError and OSError, to exit 2."""
 
 
 # The JSON kind of each config and hyperparameter field of a trace.
@@ -80,7 +76,7 @@ _KINDS = {
 
 def _check(value, kind: str, name: str):
     if not _KINDS[kind](value):
-        raise CliError(f"trace: field {name!r} must be of type {kind}")
+        raise ValueError(f"trace: field {name!r} must be of type {kind}")
     return value
 
 
@@ -88,7 +84,7 @@ def _field(obj: dict, key: str, kind: str, where: str = ""):
     """obj[key], checked to be present and of the given kind."""
     name = f"{where}.{key}" if where else key
     if key not in obj:
-        raise CliError(f"trace: missing field {name!r}")
+        raise ValueError(f"trace: missing field {name!r}")
     return _check(obj[key], kind, name)
 
 
@@ -100,19 +96,19 @@ def _fields(obj: dict, kinds: dict, where: str) -> dict:
 def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     """The trace and config of a schema-3 document: its two clouds are the
     clouds[-2] and clouds[-1] of the trace written.  A missing or
-    ill-typed field, or a value the library rejects, raises CliError
+    ill-typed field, or a value the library rejects, raises ValueError
     naming the field."""
     if not isinstance(doc, dict):
-        raise CliError("trace: not a JSON object")
+        raise ValueError("trace: not a JSON object")
     if doc.get("schema") != TRACE_SCHEMA:
-        raise CliError(f"trace: field 'schema' is {doc.get('schema')!r}, this "
-                       f"version reads schema {TRACE_SCHEMA}; re-run `mrgap "
-                       f"denoise --trace-out` to write a new trace")
+        raise ValueError(f"trace: field 'schema' is {doc.get('schema')!r}, "
+                         f"this version reads schema {TRACE_SCHEMA}; re-run "
+                         f"`mrgap denoise --trace-out` to write a new trace")
     try:
         config = DenoiseConfig(**_fields(_field(doc, "config", "object"),
                                          _CONFIG, "config"))
     except ValueError as exc:
-        raise CliError(f"trace: field 'config': {exc}") from exc
+        raise ValueError(f"trace: field 'config': {exc}") from exc
     hypers = []
     for i, h in enumerate(_field(doc, "hypers", "list")):
         where = f"hypers[{i}]"
@@ -120,7 +116,7 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
             hypers.append(gp.GpHyperParams(
                 **_fields(_check(h, "object", where), _HYPER, where)))
         except ValueError as exc:
-            raise CliError(f"trace: field {where!r}: {exc}") from exc
+            raise ValueError(f"trace: field {where!r}: {exc}") from exc
     variances = _field(doc, "predictive_variances", "list")
     for i, v in enumerate(variances):
         _check(v, "number", f"predictive_variances[{i}]")
@@ -128,46 +124,54 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     shape = _field(block, "shape", "list", "clouds")
     if not (len(shape) == 3 and shape[0] == 2
             and all(_KINDS["integer"](x) and x > 0 for x in shape)):
-        raise CliError("trace: field 'clouds.shape' must be [2, n, D], "
-                       "n and D positive integers")
+        raise ValueError("trace: field 'clouds.shape' must be [2, n, D], "
+                         "n and D positive integers")
     data = _field(block, "data", "string", "clouds")
     try:
         raw = base64.b64decode(data, validate=True)
         clouds = [PointCloud(p) for p in
                   np.frombuffer(raw, dtype="<f8").reshape(shape)]
     except ValueError as exc:
-        raise CliError(f"trace: field 'clouds.data': {exc}") from exc
+        raise ValueError(f"trace: field 'clouds.data': {exc}") from exc
     try:
         return DenoiseTrace(clouds, hypers, variances), config
     except ValueError as exc:
         # DenoiseTrace names the field in its message.
-        raise CliError(f"trace: {exc}") from exc
+        raise ValueError(f"trace: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _outputs(*paths):
-    """Text handles to write each path, None where a path is not given, all
-    opened before any is written.  If one cannot be opened, two name the
-    same file, or the body fails, the files this call created are removed;
-    a file that already existed is emptied only once every path is open."""
+def _write(outputs) -> None:
+    """Write each (path, value) of outputs whose path is given: an array as
+    CSV rows of 17 significant digits, a dict as json.dumps.  Every path is
+    opened before any is written.  If one cannot be opened, two name one
+    regular file, or a write fails, the files this call created are
+    removed.  A regular file that already existed is emptied only once
+    every path is open; a device or pipe, such as /dev/null, a FIFO or
+    /dev/stdout, is written as it is."""
+    outputs = [(path, value) for path, value in outputs if path is not None]
     created = []
     with contextlib.ExitStack() as stack:
         try:
             handles = []
-            for path in paths:
-                new = bool(path) and not os.path.exists(path)
-                handles.append(stack.enter_context(open(path, "a"))
-                               if path else None)
+            for path, _ in outputs:
+                new = not os.path.exists(path)
+                handles.append(stack.enter_context(open(path, "a")))
                 if new:
                     created.append(path)
-            opened = [fh for fh in handles if fh]
+            files = [fh for fh in handles
+                     if stat.S_ISREG(os.fstat(fh.fileno()).st_mode)]
             # (inode, device): one file under two names counts as one.
-            if len({os.fstat(fh.fileno())[1:3] for fh in opened}) < len(opened):
+            if len({os.fstat(fh.fileno())[1:3] for fh in files}) < len(files):
                 raise ValueError("two output paths name one file: "
-                                 + ", ".join(p for p in paths if p))
-            for fh in opened:
+                                 + ", ".join(path for path, _ in outputs))
+            for fh in files:
                 fh.truncate(0)
-            yield handles
+            for fh, (_, value) in zip(handles, outputs):
+                if isinstance(value, dict):
+                    # json.dumps runs the C encoder, json.dump a Python one.
+                    fh.write(json.dumps(value))
+                else:
+                    np.savetxt(fh, value, delimiter=",", fmt="%.17g")
         except BaseException:
             stack.close()
             for path in created:
@@ -175,7 +179,7 @@ def _outputs(*paths):
             raise
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     gen = _GENERATORS[args.shape]
     extra = {}
     if args.ambient_dim is not None:
@@ -185,82 +189,60 @@ def cmd_generate(args) -> int:
     clean = gen(args.n, seed=args.seed, **extra)
     noise = NoiseSpec(args.sigma, args.seed + 1)
     if noise.sigma == 0:
-        written = {args.out: clean}
+        written = [(args.out, clean.points)]
     else:
         base, ext = os.path.splitext(args.out)
-        written = {f"{base}_clean{ext}": clean,
-                   args.out: add_gaussian_noise(clean, noise)}
-    with _outputs(*written) as handles:
-        for cloud, fh in zip(written.values(), handles):
-            save_csv(cloud, fh)
-    print("\n".join(written))
-    return 0
+        written = [(f"{base}_clean{ext}", clean.points),
+                   (args.out, add_gaussian_noise(clean, noise).points)]
+    return "\n".join(path for path, _ in written), written
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args):
     cloud = load_csv(args.input)
     config = DenoiseConfig(epsilon=args.epsilon, delta=args.delta,
                            intrinsic_dim=args.d, sigma_tol=args.tol,
                            max_iter=args.max_iter)
     trace = denoise(cloud, config)
-    with _outputs(args.out, args.trace_out) as (out, trace_out):
-        save_csv(trace.clouds[-1], out)
-        if trace_out:
-            # json.dumps runs the C encoder; json.dump the pure-Python one.
-            trace_out.write(json.dumps(trace_to_json(trace, config)))
-    print(args.out)
-    return 0
+    return args.out, [(args.out, trace.clouds[-1].points),
+                      (args.trace_out, trace_to_json(trace, config))]
 
 
-def cmd_interpolate(args) -> int:
+def cmd_interpolate(args):
     with open(args.trace) as fh:
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise CliError(f"trace: {args.trace}: not a readable JSON "
-                           f"document: {exc}") from None
+            raise ValueError(f"trace: {args.trace}: not a readable JSON "
+                             f"document: {exc}") from None
     trace, config = trace_from_json(doc)
     cloud, chart_idx = interpolate(trace, config, args.k, args.seed,
                                    return_chart_index=True)
-    with _outputs(args.out, args.chart_index_out) as (out, index_out):
-        save_csv(cloud, out)
-        if index_out:
-            json.dump({"chart_index": chart_idx.tolist()}, index_out)
-    print(args.out)
-    return 0
+    return args.out, [(args.out, cloud.points),
+                      (args.chart_index_out,
+                       {"chart_index": chart_idx.tolist()})]
 
 
-def cmd_evaluate(args) -> int:
-    eval_set = load_csv(args.input)
-    reference = load_csv(args.reference)
-    report = grmse(eval_set, reference)
-    if args.distances_out:
-        np.savetxt(args.distances_out, report.per_point_distances,
-                   delimiter=",", fmt="%.17g")
-    print(f"{report.value:.17g}")
-    return 0
+def cmd_evaluate(args):
+    report = grmse(load_csv(args.input), load_csv(args.reference))
+    return (f"{report.value:.17g}",
+            [(args.distances_out, report.per_point_distances)])
 
 
-def _list(text: str | None, kind) -> list | None:
-    """A comma-separated option: None when not given, [] when empty."""
-    if text is None:
-        return None
-    return [kind(x) for x in text.split(",")] if text else []
+def cmd_estimate_dim(args):
+    profile = estimate_dimension(load_csv(args.input), args.eps_dm,
+                                 args.embed_dims, args.eps_grid)
+    width = max(len(lam) for lam in profile.lambda_bars)
+    rows = [[eps, *lam] + [np.nan] * (width - len(lam))
+            for eps, lam in zip(profile.epsilons, profile.lambda_bars)]
+    return str(profile.estimated_dim), [(args.profile_out, np.asarray(rows))]
 
 
-def cmd_estimate_dim(args) -> int:
-    cloud = load_csv(args.input)
-    profile = estimate_dimension(cloud, args.eps_dm,
-                                 _list(args.embed_dims, int),
-                                 _list(args.eps_grid, float))
-    if args.profile_out:
-        width = max(len(lam) for lam in profile.lambda_bars)
-        rows = [[eps, *lam] + [np.nan] * (width - len(lam))
-                for eps, lam in zip(profile.epsilons, profile.lambda_bars)]
-        np.savetxt(args.profile_out, np.asarray(rows), delimiter=",",
-                   fmt="%.17g")
-    print(profile.estimated_dim)
-    return 0
+def _list_of(kind):
+    """An argparse type: comma-separated values of kind, [] when empty."""
+    def parse(text: str) -> list:
+        return [kind(x) for x in text.split(",")] if text else []
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("estimate-dim", help="intrinsic dimension estimate")
     s.add_argument("--in", dest="input", required=True)
     s.add_argument("--eps-dm", type=float, required=True)
-    s.add_argument("--embed-dims", default=None,
+    s.add_argument("--embed-dims", type=_list_of(int),
                    help="comma-separated embedding dimensions")
-    s.add_argument("--eps-grid", default=None,
+    s.add_argument("--eps-grid", type=_list_of(float),
                    help="comma-separated local-PCA bandwidths")
     s.add_argument("--profile-out", default=None)
     s.set_defaults(func=cmd_estimate_dim)
@@ -314,17 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Its cmd_* function writes nothing: it returns the
+    text to print and the (path, value) pairs to write, path None where an
+    option is not given.  _write writes them, and leaves no file it created
+    if any fails; the text is printed only after _write returns.  A
+    numerical failure exits 3; a usage error, a ValueError (a bad
+    parameter, CSV or trace) or an OSError exits 2 with one error line on
+    stderr."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        text, outputs = args.func(args)
+        _write(outputs)
+        print(text)
+        return 0
     except _NUMERICAL as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

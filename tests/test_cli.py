@@ -1,5 +1,10 @@
 import base64
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,10 +528,12 @@ class TestBadInput:
         ["estimate-dim", "--in", "MISSING", "--eps-dm", 0.5],
         ["interpolate", "--trace", "MISSING", "--k", 2, "--out", "OUT"],
         ["generate", "--shape", "blob", "--n", 10, "--out", "OUT"],
+        ["generate", "--shape", "cassini", "--n", 10, "--out", ""],
     ], ids=["eps-dm-nan", "eps-dm-inf", "eps-dm-1e-200", "eps-dm-1e200",
             "eps-grid-nan", "eps-grid-inf",
             "embed-dims-0", "epsilon-nan", "delta-nan", "delta-inf",
-            "tol-nan", "missing-in", "missing-trace", "shape-blob"])
+            "tol-nan", "missing-in", "missing-trace", "shape-blob",
+            "out-empty"])
     def test_exits_2(self, tmp_path, small_csv, noisy_csv, capsys, argv):
         out = tmp_path / "o.csv"
         paths = {"SMALL": small_csv, "NOISY": noisy_csv, "OUT": out,
@@ -607,6 +614,14 @@ class TestBadInput:
         assert "two output paths name one file" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option, value", [("--eps-grid", "0.3,"),
+                                               ("--embed-dims", "3,x")])
+    def test_bad_list_entry_names_the_option(self, small_csv, capsys, option,
+                                             value):
+        assert run(["estimate-dim", "--in", small_csv, "--eps-dm", 0.5,
+                    option, value]) == 2
+        assert f"argument {option}: invalid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["generate", "--shape", "torus", "--n", 5, "--seed", -3,
          "--out", "OUT"],
@@ -618,6 +633,99 @@ class TestBadInput:
         paths = {"TRACE": pipeline[3], "OUT": out}
         assert run([paths.get(a, a) for a in argv]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+# One output of each command, at the path OUT.
+_ONE_OUTPUT = {
+    "generate": ["generate", "--shape", "cassini", "--n", 20, "--out", "OUT"],
+    "denoise": ["denoise", "--in", "NOISY", "--epsilon", 0.3, "--delta", 0.6,
+                "--d", 1, "--max-iter", 2, "--out", "OUT"],
+    "denoise-trace": ["denoise", "--in", "NOISY", "--epsilon", 0.3,
+                      "--delta", 0.6, "--d", 1, "--max-iter", 2,
+                      "--out", "SIDE", "--trace-out", "OUT"],
+    "interpolate": ["interpolate", "--trace", "TRACE", "--k", 2,
+                    "--out", "OUT"],
+    "interpolate-chart-index": ["interpolate", "--trace", "TRACE", "--k", 2,
+                                "--out", "SIDE", "--chart-index-out", "OUT"],
+    "evaluate": ["evaluate", "--in", "NOISY", "--ref", "DENOISED",
+                 "--distances-out", "OUT"],
+    "estimate-dim": ["estimate-dim", "--in", "NOISY", "--eps-dm", 0.5,
+                     "--profile-out", "OUT"],
+}
+
+
+class TestDevicesAndPipes:
+    """Only regular files are emptied and checked for two names, so every
+    output can be a device or a pipe, written as a regular file is."""
+
+    @staticmethod
+    def run_to(name, out, tmp_path, pipeline, capsys):
+        """Exit code and stdout of command name writing its output to out."""
+        paths = {"NOISY": pipeline[1], "DENOISED": pipeline[2],
+                 "TRACE": pipeline[3], "SIDE": tmp_path / "side", "OUT": out}
+        code = run([paths.get(a, a) for a in _ONE_OUTPUT[name]])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(_ONE_OUTPUT))
+    def test_dev_null(self, tmp_path, pipeline, capsys, name):
+        reg = tmp_path / "reg"
+        code, want = self.run_to(name, reg, tmp_path, pipeline, capsys)
+        assert code == 0
+        assert self.run_to(name, "/dev/null", tmp_path, pipeline, capsys) == (
+            0, want.replace(str(reg), "/dev/null"))
+
+    def test_dev_null_named_twice(self, pipeline, capsys):
+        assert run(["denoise", "--in", pipeline[1], "--epsilon", 0.3,
+                    "--delta", 0.6, "--d", 1, "--max-iter", 2,
+                    "--out", "/dev/null", "--trace-out", "/dev/null"]) == 0
+        assert capsys.readouterr().out == "/dev/null\n"
+
+    @pytest.mark.parametrize("name", list(_ONE_OUTPUT))
+    def test_fifo(self, tmp_path, pipeline, capsys, name):
+        # The reader stops at the writer's first close, as `cat` does.  Both
+        # ends run in threads, so an end that blocks fails the test.
+        reg = tmp_path / "reg"
+        _, want = self.run_to(name, reg, tmp_path, pipeline, capsys)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got, result = [], []
+        ends = [threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                 daemon=True),
+                threading.Thread(target=lambda: result.append(self.run_to(
+                    name, fifo, tmp_path, pipeline, capsys)), daemon=True)]
+        for end in ends:
+            end.start()
+        for end in ends:
+            end.join(timeout=30)
+        assert result == [(0, want.replace(str(reg), str(fifo)))]
+        assert got == [reg.read_bytes()]
+
+    def test_stdout_pipe(self, tmp_path):
+        # The rows reach the pipe first, then the printed path.
+        argv = ["generate", "--shape", "cassini", "--n", "5", "--out"]
+        reg = tmp_path / "c.csv"
+        assert run(argv + [reg]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mrgap.cli", *argv, "/dev/stdout"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout == reg.read_text() + "/dev/stdout\n"
+
+    @pytest.mark.parametrize("name", ["evaluate", "estimate-dim"])
+    def test_failed_write_leaves_no_file(self, tmp_path, pipeline, capsys,
+                                         monkeypatch, name):
+        savetxt = np.savetxt
+
+        def first_row_then_fail(fh, rows, **kwargs):
+            savetxt(fh, rows[:1], **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savetxt", first_row_then_fail)
+        code, out = self.run_to(name, tmp_path / "o.csv", tmp_path, pipeline,
+                                capsys)
+        assert (code, out) == (2, "")
         assert not any(tmp_path.iterdir())
 
 

@@ -8,7 +8,8 @@ import shlex
 from pathlib import Path
 
 import mrgap
-from mrgap import cli
+from mrgap import (NoiseSpec, add_gaussian_noise, cli, estimate_dimension,
+                   gen_cassini)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -24,14 +25,27 @@ def blocks(lang):
     return re.findall(rf"^```{lang}\n(.*?)^```$", README, re.M | re.S)
 
 
-def test_command_line_example(tmp_path, monkeypatch):
+def command_line_example():
     (example,) = [b for b in blocks("sh") if b.startswith("mrgap ")]
+    return example.replace("\\\n", " ")
+
+
+def test_command_line_example(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for line in example.replace("\\\n", " ").splitlines():
+    for line in command_line_example().splitlines():
         argv = shlex.split(line)
         assert argv[0] == "mrgap"
         assert cli.main(argv[1:]) == 0, line
     assert (tmp_path / "dense.csv").exists()
+
+
+def test_dimension_example_finds_a_curve():
+    # The example's --eps-dm on its own 102-point noisy Cassini, 12 seeds.
+    eps_dm = float(re.search(r"--eps-dm (\S+)", command_line_example())[1])
+    for seed in range(12):
+        noisy = add_gaussian_noise(gen_cassini(102, seed=seed),
+                                   NoiseSpec(0.04, seed + 1))
+        assert estimate_dimension(noisy, eps_dm).estimated_dim == 1, seed
 
 
 def test_library_example(capsys):
