@@ -23,7 +23,7 @@ from .interpolator import interpolate
 from .local_geometry import InsufficientNeighborsError
 from .point_cloud import (NoiseSpec, PointCloud, add_gaussian_noise,
                           gen_cassini, gen_ellipsoid_embedded, gen_torus,
-                          load_csv)
+                          load_csv, save_csv)
 from .spectral_dim import DimensionEstimateError, estimate_dimension
 
 TRACE_SCHEMA = 3
@@ -141,13 +141,13 @@ def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
 
 
 def _write(outputs) -> None:
-    """Write each (path, value) of outputs whose path is given: an array as
-    CSV rows of 17 significant digits, a dict as json.dumps.  Every path is
-    opened before any is written.  If one cannot be opened, two name one
-    regular file, or a write fails, the files this call created are
-    removed.  A regular file that already existed is emptied only once
-    every path is open; a device or pipe, such as /dev/null, a FIFO or
-    /dev/stdout, is written as it is."""
+    """Write each (path, value) of outputs whose path is given: an array
+    through save_csv, as plain-text CSV whatever the suffix, a dict as
+    json.dumps.  Every path is opened once, all before any is written.
+    If one cannot be opened, two name one regular file, or a write
+    fails, the files this call created are removed.  A regular file that
+    already existed is emptied only once every path is open; a device or
+    pipe, such as /dev/null, a FIFO or /dev/stdout, is written as is."""
     outputs = [(path, value) for path, value in outputs if path is not None]
     created = []
     with contextlib.ExitStack() as stack:
@@ -171,7 +171,7 @@ def _write(outputs) -> None:
                     # json.dumps runs the C encoder, json.dump a Python one.
                     fh.write(json.dumps(value))
                 else:
-                    np.savetxt(fh, value, delimiter=",", fmt="%.17g")
+                    save_csv(value, fh)
         except BaseException:
             stack.close()
             for path in created:

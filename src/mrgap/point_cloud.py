@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import operator
 from dataclasses import dataclass
 
@@ -99,32 +100,27 @@ def _bad_row(path, rows: list[str], start: int) -> CsvFormatError | None:
     return None
 
 
-def _not_utf8(path) -> CsvFormatError | None:
-    """The error naming the line of path's first byte that is not UTF-8."""
-    with open(path, "rb") as fh:
-        try:
-            fh.read().decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            return CsvFormatError(f"{path}: line {line}: {exc}")
-    return None
-
-
 def load_csv(path) -> PointCloud:
-    """Read one point per row from a comma-separated UTF-8 file.
+    """Read one point per row from a comma-separated UTF-8 file, opened
+    once and read whole, so a pipe or a FIFO works.
 
-    A non-numeric first row is treated as a header and skipped; blank
-    rows, whitespace-only ones included, and a UTF-8 byte-order mark are
-    skipped.  Ragged, non-numeric, non-finite (nan, inf) or oversized
-    cells raise CsvFormatError naming the row and column (1-based among
-    the non-blank rows, counting the header if present), and so does a
-    byte that is not UTF-8, naming its line.
+    Lines end where text-mode open ends them.  A non-numeric first row
+    is a header and is skipped; so are blank rows, whitespace-only ones
+    included, and a UTF-8 byte-order mark.  Ragged, non-numeric,
+    non-finite (nan, inf) or oversized cells raise CsvFormatError naming
+    the row and column (1-based among the non-blank rows, counting the
+    header if present), and a byte that is not UTF-8 its line.
     """
+    with open(path, "rb") as fh:
+        text = io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8-sig")
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            rows = [line for line in fh if line.strip()]
+        rows = [line for line in text if line.strip()]
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) or CsvFormatError(f"{path}: {exc}") from None
+        # exc.object is the chunk being decoded; it ends at buffer.tell().
+        offset = text.buffer.tell() - len(exc.object) + exc.start
+        line = text.buffer.getvalue().count(b"\n", 0, offset) + 1
+        raise CsvFormatError(f"{path}: line {line}: not UTF-8 at offset "
+                             f"{offset}: {exc.reason}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     start = 0 if _bad_row(path, rows[:1], 0) is None else 1
@@ -146,10 +142,14 @@ def load_csv(path) -> PointCloud:
     return PointCloud(data)
 
 
-def save_csv(cloud: PointCloud, path) -> None:
-    """Write one point per row to a path or an open text file; 17
-    significant digits for lossless round-trip."""
-    np.savetxt(path, cloud.points, delimiter=",", fmt="%.17g")
+def save_csv(cloud: PointCloud | np.ndarray, path) -> None:
+    """Write a cloud or array as CSV rows of 17 significant digits to an
+    open text file, or as plain text to a path (opened once, any suffix)."""
+    if not hasattr(path, "write"):
+        with open(path, "w") as fh:
+            return save_csv(cloud, fh)
+    rows = cloud.points if isinstance(cloud, PointCloud) else cloud
+    np.savetxt(path, rows, delimiter=",", fmt="%.17g")
 
 
 def _cassini_xyz(theta: np.ndarray) -> np.ndarray:

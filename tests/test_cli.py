@@ -729,6 +729,56 @@ class TestDevicesAndPipes:
         assert not any(tmp_path.iterdir())
 
 
+class TestPipedInputs:
+    """An input file is opened once and read to its end, so a FIFO or a
+    pipe on /dev/stdin reads as a regular file does, errors included."""
+
+    LATIN = b"1,2,3\n4,5,\xe96\n"
+
+    @staticmethod
+    def evaluate_fifo(tmp_path, data, ref, capsys):
+        """Exit codes, stdout and stderr of `evaluate --in` a FIFO whose
+        writer sends data.  Both ends run in threads, so an end that
+        blocks fails the test."""
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        codes = []
+        ends = [threading.Thread(target=fifo.write_bytes, args=(data,),
+                                 daemon=True),
+                threading.Thread(target=lambda: codes.append(run(
+                    ["evaluate", "--in", fifo, "--ref", ref])), daemon=True)]
+        for end in ends:
+            end.start()
+        for end in ends:
+            end.join(timeout=30)
+        assert not any(end.is_alive() for end in ends)
+        out, err = capsys.readouterr()
+        return codes, out, err
+
+    def test_fifo_bad_byte_names_line(self, tmp_path, pipeline, capsys):
+        codes, out, err = self.evaluate_fifo(tmp_path, self.LATIN,
+                                             pipeline[1], capsys)
+        assert codes == [2] and out == ""
+        assert f"{tmp_path / 'in.fifo'}: line 2: " in err
+
+    def test_stdin_pipe_bad_byte_names_line(self, pipeline):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mrgap.cli", "evaluate", "--in",
+             "/dev/stdin", "--ref", str(pipeline[1])],
+            input=self.LATIN, capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert b"/dev/stdin: line 2: " in proc.stderr
+
+    def test_fifo_reads_as_regular_file(self, tmp_path, pipeline, capsys):
+        _, noisy, den, _ = pipeline
+        assert run(["evaluate", "--in", noisy, "--ref", den]) == 0
+        want = capsys.readouterr().out
+        assert self.evaluate_fifo(tmp_path, noisy.read_bytes(), den,
+                                  capsys) == ([0], want, "")
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 2

@@ -22,6 +22,19 @@ CFG_PLANE = DenoiseConfig(epsilon=0.8, delta=1.2, intrinsic_dim=2,
                           max_iter=1, sigma_tol=0.0)
 
 
+_SHIFT = np.array([1.0, -2.0, 0.5])
+
+
+@functools.cache
+def translation_run(seed, c):
+    """Two denoising rounds of noisy Cassini translated by c * _SHIFT."""
+    noisy = add_gaussian_noise(gen_cassini(102, seed=seed),
+                               NoiseSpec(0.04, seed + 1))
+    return denoise(PointCloud(noisy.points + c * _SHIFT),
+                   DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
+                                 max_iter=2, sigma_tol=0.0))
+
+
 @functools.cache
 def cassini_run(c):
     """Two denoising rounds and K = 3 interpolation of noisy Cassini scaled
@@ -183,6 +196,24 @@ class TestDenoise:
             np.testing.assert_allclose(
                 [hb.A / c ** 2, hb.rho / c ** 2, hb.sigma / c],
                 [ha.A, ha.rho, ha.sigma], rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    def test_translation_equivariance(self, c, seed):
+        # X + c v denoises to the outputs of X plus c v.  Translation
+        # changes cdist at rounding level, and L-BFGS-B stops wherever its
+        # tolerance is first met, which amplifies that change: the bounds
+        # are the optimizer's stopping tolerance, not rounding error.
+        # Seeds 1 and 3 are the worst of 0-5 (7.0e-9 on the points and
+        # 2.2e-7 relative on A, rho and sigma).
+        a = translation_run(seed, 0.0)
+        b = translation_run(seed, c)
+        assert a.rounds == b.rounds == 2
+        np.testing.assert_allclose(b.clouds[-1].points - c * _SHIFT,
+                                   a.clouds[-1].points, rtol=0, atol=1e-7)
+        for ha, hb in zip(a.hypers, b.hypers):
+            np.testing.assert_allclose([hb.A, hb.rho, hb.sigma],
+                                       [ha.A, ha.rho, ha.sigma], rtol=5e-6)
 
     @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
     def test_scale_equivariance_at_extreme_scales(self, c):

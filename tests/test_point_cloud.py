@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,8 +154,50 @@ class TestCsv:
         cloud = PointCloud(rng.normal(size=(10, 3)))
         p = tmp_path / "c.csv"
         save_csv(cloud, p)
-        back = load_csv(p)
-        np.testing.assert_allclose(back.points, cloud.points, atol=1e-12)
+        # 17 significant digits are lossless.
+        np.testing.assert_array_equal(load_csv(p).points, cloud.points)
+
+    def test_gz_suffix_is_plain_text(self, tmp_path):
+        # The path is opened as it is named; no suffix picks a compressor.
+        cloud = PointCloud(np.random.default_rng(1).normal(size=(10, 3)))
+        plain, gz = tmp_path / "c.csv", tmp_path / "c.csv.gz"
+        save_csv(cloud, plain)
+        save_csv(cloud, gz)
+        assert gz.read_bytes() == plain.read_bytes()
+        np.testing.assert_array_equal(load_csv(gz).points, cloud.points)
+
+    def test_array_to_open_file(self, tmp_path):
+        # An array writes as the cloud does; a 1-d one, a value per line.
+        cloud = gen_cassini(5, seed=0)
+        p = tmp_path / "c.csv"
+        save_csv(cloud, p)
+        with open(tmp_path / "a.csv", "w") as fh:
+            save_csv(cloud.points, fh)
+            save_csv(cloud.points[:, 0], fh)
+        col = "".join(f"{x:.17g}\n" for x in cloud.points[:, 0])
+        assert (tmp_path / "a.csv").read_text() == p.read_text() + col
+
+    def test_fifo_path(self, tmp_path):
+        # The path is opened once, so a reader that stops at the first end
+        # of file, as `cat` does, gets every row.  Both ends run in
+        # threads, so an end that blocks fails the test.
+        cloud = gen_cassini(20, seed=2)
+        p = tmp_path / "c.csv"
+        save_csv(cloud, p)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for _ in range(10):
+            got = []
+            ends = [threading.Thread(target=lambda: got.append(
+                        fifo.read_bytes()), daemon=True),
+                    threading.Thread(target=save_csv, args=(cloud, fifo),
+                                     daemon=True)]
+            for end in ends:
+                end.start()
+            for end in ends:
+                end.join(timeout=30)
+            assert not any(end.is_alive() for end in ends)
+            assert got == [p.read_bytes()]
 
     def test_empty_cloud_round_trip_fails_on_reload(self, tmp_path):
         cloud = PointCloud(np.empty((0, 3)))
