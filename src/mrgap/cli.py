@@ -38,7 +38,7 @@ _GENERATORS = {
 # Numerical failures, which exit 3.  InsufficientNeighborsError is a
 # ValueError, so main catches these first.
 _NUMERICAL = (InsufficientNeighborsError, gp.FactorizationError,
-              gp.OptimizationError, DimensionEstimateError)
+              DimensionEstimateError)
 
 
 # The JSON kind of each config and hyperparameter field of a trace.

@@ -70,10 +70,6 @@ class DenoiseTrace:
     def rounds(self) -> int:
         return len(self.hypers)
 
-    @property
-    def sigma_history(self) -> list[float]:
-        return [h.sigma for h in self.hypers]
-
 
 def denoise_round(cloud: PointCloud, config: DenoiseConfig,
                   hyper_warm: gp.GpHyperParams | None = None,

@@ -18,8 +18,6 @@ class GrmseReport:
 
 def grmse(eval_set: PointCloud, reference: PointCloud) -> GrmseReport:
     """RMS of exact nearest-neighbor distances to the reference (k-d tree)."""
-    if eval_set.n == 0 or reference.n == 0:
-        raise ValueError("both point sets must be nonempty")
     if eval_set.ambient_dim != reference.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {eval_set.ambient_dim} "
                          f"vs {reference.ambient_dim}")

@@ -63,10 +63,6 @@ class FactorizationError(RuntimeError):
     """Gram factorization failed even after jitter escalation."""
 
 
-class OptimizationError(RuntimeError):
-    """Hyperparameter optimization failed from every start."""
-
-
 @dataclass(frozen=True)
 class GpHyperParams:
     """Signal variance A, squared-exponential length parameter rho, noise sigma."""
@@ -247,13 +243,13 @@ class _Bucket:
 
 
 class _ChartStack:
-    """The non-empty charts of a joint fit, grouped by size rounded up to a
-    multiple of _BUCKET, each size split into stacks of at most
-    _STACK_ELEMS entries per matrix array.  q is the count of response
-    dimensions: a chart's codim, not the D columns of its residuals."""
+    """The charts of a joint fit, each holding at least its base's row,
+    grouped by size rounded up to a multiple of _BUCKET, each size split
+    into stacks of at most _STACK_ELEMS entries per matrix array.  q is
+    the count of response dimensions: a chart's codim, not the D columns
+    of its residuals."""
 
     def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], q: int):
-        pairs = [(w, z) for w, z in pairs if w.shape[0]]
         self.q = q
         self.zz = 0.0  # sum of |Z_k|^2, added in chart order
         for _, z in pairs:
@@ -347,13 +343,11 @@ def fit_hyperparams(
     and s in [S_FLOOR, 1 / S_FLOOR].  So c X fits c^2 A, c^2 rho and
     c sigma.  The fit returns the best point it evaluated.  The first is
     the init's (rho, s) at the best A in a box that holds the init's A, so
-    the result is never worse than the init.  Deterministic.
+    the result is never worse than the init.  It raises FactorizationError
+    if no point evaluated factors.  Deterministic.  The charts are those
+    of build_charts: at least one, each holding a row.
     """
-    if not charts:
-        raise ValueError("charts list is empty")
     stack = _ChartStack.of_charts(charts)
-    if not stack.N:
-        raise OptimizationError("all charts are empty")
     init = init or stack.default_start()
     init = GpHyperParams(init.A, init.rho,
                          max(init.sigma, float(np.sqrt(S_FLOOR * init.A))))
@@ -389,5 +383,5 @@ def fit_hyperparams(
         minimize(neg, t, jac=True, method="L-BFGS-B", bounds=bounds,
                  options={"maxiter": 200})
     if best is None:
-        raise OptimizationError("factorization failed from every start")
+        raise FactorizationError("no point the fit evaluated factored")
     return best

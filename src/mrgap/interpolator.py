@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gp
 from .denoiser import DenoiseConfig, DenoiseTrace
-from .local_geometry import build_charts
+from .local_geometry import InsufficientNeighborsError, build_charts
 from .point_cloud import PointCloud, _check_count
 
 
@@ -54,7 +54,7 @@ def interpolate(
     """Interpolate K points per chart from the trace's second-to-last cloud
     and last-round hyperparameters, gluing each chart to the points that
     earlier charts produced.  Returns n*K points, fewer only if degenerate
-    charts were skipped."""
+    charts were skipped; raises InsufficientNeighborsError if all were."""
     _check_count(K, "K")
     _check_count(seed, "seed", 0)
     cloud = trace.clouds[-2]
@@ -97,6 +97,8 @@ def interpolate(
         reach[k] = np.max(np.linalg.norm(out[k] - chart.base, axis=1))
 
     made = np.flatnonzero(reach != -np.inf)
+    if not made.size:
+        raise InsufficientNeighborsError("every chart's domain is degenerate")
     # Rebinding frees the (n, K, D) buffer before PointCloud copies the rows.
     out = out[made].reshape(-1, D)
     points = PointCloud(out)

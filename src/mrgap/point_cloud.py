@@ -30,7 +30,7 @@ def _check_count(value, name: str, low: int = 1) -> None:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n points in R^D stored as an (n, D) array.
+    """n >= 1 points in R^D stored as an (n, D) array.
 
     The array is made read-only on construction; clouds can be shared
     freely across threads.
@@ -40,8 +40,8 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be 2-d (n, D), got shape {pts.shape}")
+        if pts.ndim != 2 or not pts.shape[0]:
+            raise ValueError(f"points must be (n, D), n >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
         pts = pts.copy()

@@ -80,17 +80,14 @@ def diffusion_embedding(
     (1 - nu) / eps_dm^2 and eigenvectors D^-1/2 phi, l2-normalized.  Signs
     are fixed so each vector's largest-magnitude entry is positive.
 
-    Raises ValueError when n(n+1)/2 reaches 2^31, the index limit of the
-    32-bit BLAS, and DimensionEstimateError when the cloud has fewer than
-    ell + 1 distinct points: S then has rank below ell + 1, and the pairs
-    beyond its rank would be an arbitrary basis of its null space.
+    ell < n, as estimate_dimension, the one caller, checks.  Raises
+    ValueError for a bad eps_dm or when n(n+1)/2 reaches 2^31 (the 32-bit
+    BLAS index limit), and DimensionEstimateError when the cloud has fewer
+    than ell + 1 distinct points: S then has rank below ell + 1, and the
+    pairs beyond its rank would be an arbitrary basis of its null space.
     """
     n = cloud.n
-    if n < 2:
-        raise ValueError("need at least 2 points")
     _check_bandwidth(eps_dm, "eps_dm")
-    if not 0 <= ell < n:
-        raise ValueError("ell must satisfy 0 <= ell < n")
     size = n * (n + 1) // 2
     if size >= 2 ** 31:
         raise ValueError(f"{n} points are too many: the packed kernel's "
@@ -153,9 +150,8 @@ def mean_local_eigenvalues(cloud: PointCloud, epsilon: float) -> np.ndarray:
     the closed epsilon-ball, with the full sample size n as divisor.  A k-d
     tree finds the candidates of a block of points at a time, which keeps
     memory bounded when the balls cover the whole cloud; each candidate is
-    then tested by the exact distance.
+    then tested by the exact distance.  estimate_dimension checks epsilon.
     """
-    _check_bandwidth(epsilon, "epsilon")
     pts = cloud.points
     n, D = pts.shape
     tree = cKDTree(pts)
@@ -216,10 +212,11 @@ def estimate_dimension(
     from balls that hold only their own point, casts no vote.  The default
     bandwidth for embedding dimension m is 0.3 + 0.1 * (m - 2).
 
-    Raises ValueError unless every embed_dims entry m has 2 <= m < n, and
-    DimensionEstimateError when the cloud has fewer than
-    max(embed_dims) + 1 distinct points, when no spectrum votes or when the
-    eigensolver does not converge.
+    Raises ValueError unless every embed_dims entry m has 2 <= m < n and
+    every eps_grid entry keeps _check_bandwidth's rule (both checked
+    before the embedding), and DimensionEstimateError when the cloud has
+    fewer than max(embed_dims) + 1 distinct points, when no spectrum
+    votes or when the eigensolver does not converge.
     """
     if embed_dims is None:
         embed_dims = [3, 4, 5, 6]

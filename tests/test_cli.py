@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mrgap import cli, spectral_dim
+from mrgap import cli, gp, spectral_dim
 from mrgap.cli import main
 from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
 from mrgap.gp import GpHyperParams
@@ -179,7 +179,6 @@ class TestDenoise:
         for got, want in zip(back.clouds, clouds[-2:]):
             np.testing.assert_array_equal(got.points, want.points)
         assert back.hypers == hypers
-        assert back.sigma_history == synthetic.sigma_history
         assert back.predictive_variances == synthetic.predictive_variances
 
     def test_every_trace_round_trips(self):
@@ -394,13 +393,11 @@ class TestInterpolateAndEvaluate:
         lambda doc: doc.update(sigma_history=[-1.0, 0.5, 2.0]),
     ])
     def test_sigma_history_is_not_read(self, tmp_path, pipeline, edit):
-        # sigma_history is derived from hypers, so the trace does not hold
-        # it, and a field of that name is ignored.
+        # hypers holds every round's sigma, so the trace holds no sigma
+        # history, and a field of that name is ignored.
         _, _, _, trace = pipeline
         doc = json.loads(trace.read_text())
         edit(doc)
-        back, _ = cli.trace_from_json(doc)
-        assert back.sigma_history == [h.sigma for h in back.hypers]
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -554,8 +551,9 @@ class TestBadInput:
         ("latin.csv", b"1,2,3\n4,5,\xe96\n", "evaluate", ": line 2: "),
         ("latin.csv", b"\xef\xbb\xbfx,\xe9,z\n\n1,2,3\n", "evaluate",
          ": line 1: "),
+        ("header.csv", "x,y,z\n\n", "evaluate", ": header only"),
     ], ids=["deep-trace", "huge-number", "huge-text", "latin-1",
-            "latin-1-header"])
+            "latin-1-header", "header-only"])
     def test_unreadable_file_is_named(self, tmp_path, capsys, name, text,
                                       command, named):
         path = tmp_path / name
@@ -819,6 +817,51 @@ class TestNumericalExitCode:
         monkeypatch.setattr(cli, name, fail)
         assert run(argv) == code
         assert "error: breakdown" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unfactorable_fit_is_numerical_error(self, tmp_path, pipeline,
+                                                 monkeypatch, capsys):
+        def failing(self, rho, s):
+            raise gp.FactorizationError("not positive definite")
+
+        monkeypatch.setattr(gp._ChartStack, "stats", failing)
+        out = tmp_path / "o.csv"
+        assert run(["denoise", "--in", pipeline[1], "--epsilon", 0.3,
+                    "--delta", 0.6, "--d", 1, "--out", out]) == 3
+        assert "error: no point the fit evaluated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_chart_is_named(self, tmp_path, pipeline, monkeypatch,
+                                   capsys):
+        predictive, calls = gp.predictive, []
+
+        def failing_on_chart_3(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise gp.FactorizationError("Cholesky failed")
+            return predictive(*args)
+
+        monkeypatch.setattr(gp, "predictive", failing_on_chart_3)
+        out = tmp_path / "o.csv"
+        assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
+                    "--out", out]) == 3
+        assert "error: chart 3: Cholesky failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_chart_degenerate_is_numerical_error(self, tmp_path,
+                                                       capsys):
+        # Isolated pairs of one point: each chart's predictors coincide.
+        cloud = PointCloud(np.repeat(np.eye(3) * 10.0, 2, axis=0))
+        config = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1)
+        trace = DenoiseTrace([cloud, cloud], [GpHyperParams(1.0, 1.0, 0.1)],
+                             [0.0] * cloud.n)
+        path, out = tmp_path / "trace.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(cli.trace_to_json(trace, config)))
+        with pytest.warns(UserWarning, match="degenerate domain"):
+            assert run(["interpolate", "--trace", path, "--k", 2,
+                        "--out", out]) == 3
+        assert ("error: every chart's domain is degenerate"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_isolated_point_in_trace_is_numerical_error(

@@ -36,6 +36,18 @@ def translation_run(seed, c):
 
 
 @functools.cache
+def padded_run(seed, k):
+    """Two denoising rounds and K = 5 interpolation of noisy Cassini with k
+    zero coordinates appended."""
+    noisy = add_gaussian_noise(gen_cassini(102, seed=seed),
+                               NoiseSpec(0.04, seed + 1))
+    cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1, max_iter=2)
+    trace = denoise(PointCloud(np.hstack([noisy.points, np.zeros((102, k))])),
+                    cfg)
+    return trace, interpolate(trace, cfg, K=5, seed=0)
+
+
+@functools.cache
 def cassini_run(c):
     """Two denoising rounds and K = 3 interpolation of noisy Cassini scaled
     by c, with epsilon and delta scaled alike."""
@@ -119,7 +131,7 @@ class TestDenoise:
         trace = denoise(cloud, CFG_PLANE)
         assert len(trace.clouds) == 2
         assert trace.rounds == 1
-        assert len(trace.sigma_history) == 1
+        assert len(trace.hypers) == 1
         assert len(trace.predictive_variances) == cloud.n
 
     def test_trace_cloud_shapes_consistent(self):
@@ -131,7 +143,6 @@ class TestDenoise:
         assert len(trace.clouds) == trace.rounds + 1
         for c in trace.clouds:
             assert (c.n, c.ambient_dim) == (noisy.n, noisy.ambient_dim)
-        assert trace.sigma_history == [h.sigma for h in trace.hypers]
 
     def test_relative_sigma_tol_stops_iteration(self):
         clean = gen_cassini(80, seed=1)
@@ -139,10 +150,10 @@ class TestDenoise:
         cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
                             max_iter=8, sigma_tol=None)
         trace = denoise(noisy, cfg)
-        tol = 0.05 * trace.sigma_history[0]
+        tol = 0.05 * trace.hypers[0].sigma
         stopped_early = trace.rounds < cfg.max_iter
         if stopped_early:
-            assert abs(trace.sigma_history[-1] - trace.sigma_history[-2]) <= tol
+            assert abs(trace.hypers[-1].sigma - trace.hypers[-2].sigma) <= tol
         else:
             assert trace.rounds == cfg.max_iter
 
@@ -214,6 +225,28 @@ class TestDenoise:
         for ha, hb in zip(a.hypers, b.hypers):
             np.testing.assert_allclose([hb.A, hb.rho, hb.sigma],
                                        [ha.A, ha.rho, ha.sigma], rtol=5e-6)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_zero_padding(self, k, seed):
+        # k constant coordinates add normal directions that no point moves
+        # along: the padding stays exactly 0, and the first three
+        # coordinates, rho and s = sigma^2 / A are those of the unpadded
+        # run, within the bounds of test_translation_equivariance (seeds 0-3
+        # reach 5.4e-10 denoised, 2.1e-8 interpolated and 7.8e-7 relative).
+        # How A and sigma scale with k is left open.
+        (trace_a, dense_a), (trace_b, dense_b) = (padded_run(seed, 0),
+                                                  padded_run(seed, k))
+        assert trace_a.rounds == trace_b.rounds == 2
+        for a, b in ((trace_a.clouds[-1], trace_b.clouds[-1]),
+                     (dense_a, dense_b)):
+            assert not np.any(b.points[:, 3:])
+            np.testing.assert_allclose(b.points[:, :3], a.points, rtol=0,
+                                       atol=1e-7)
+        for ha, hb in zip(trace_a.hypers, trace_b.hypers):
+            np.testing.assert_allclose([hb.rho, hb.sigma ** 2 / hb.A],
+                                       [ha.rho, ha.sigma ** 2 / ha.A],
+                                       rtol=5e-6)
 
     @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
     def test_scale_equivariance_at_extreme_scales(self, c):

@@ -66,7 +66,7 @@ class TestGrmse:
             grmse(PointCloud(np.zeros((2, 2))), PointCloud(np.zeros((2, 3))))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n >= 1"):
             grmse(PointCloud(np.empty((0, 2))), PointCloud(np.zeros((2, 2))))
 
 
@@ -177,7 +177,7 @@ class TestDistToSet:
             assert abs(f - dist_to_set(q, ref)) < 1e-12
 
     def test_empty_reference(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n >= 1"):
             grmse(PointCloud(np.zeros((1, 2))), PointCloud(np.empty((0, 2))))
 
     def test_union_is_min(self):

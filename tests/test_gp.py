@@ -370,13 +370,10 @@ class TestJointAndFit:
 
 
 def mixed_charts(seed):
-    """Charts of sizes 1 to 20 across several padded sizes, one empty."""
+    """Charts of sizes 1 to 20 across several padded sizes."""
     rng = np.random.default_rng(seed)
-    charts = [make_chart(np.empty((0, 2)), np.empty((0, 2)))]
-    for N in (1, 3, 8, 9, 17, 20):
-        charts.append(make_chart(rng.normal(size=(N, 2)),
-                                 rng.normal(size=(N, 2))))
-    return charts
+    return [make_chart(rng.normal(size=(N, 2)), rng.normal(size=(N, 2)))
+            for N in (1, 3, 8, 9, 17, 20)]
 
 
 def hyper_from(theta):
@@ -387,7 +384,7 @@ def hyper_from(theta):
 
 def dense_joint(charts, hyper):
     return sum(dense_log_marginal_oracle(c.predictors, normal_part(c), hyper)
-               for c in charts if c.predictors.shape[0])
+               for c in charts)
 
 
 class TestStackedKernel:
@@ -421,8 +418,6 @@ class TestStackedKernel:
         for c in charts:
             z = normal_part(c)
             N, q = z.shape
-            if not N:
-                continue
             K0 = gram(c.predictors, GpHyperParams(1.0, rho, 0.0))
             T += np.trace(z.T @ np.linalg.solve(K0 + s * np.eye(N), z))
             qN += q * N
@@ -582,6 +577,16 @@ class TestStackedKernel:
             joint_log_marginal(charts, init)
         assert made and np.all(np.isfinite(made))
 
+    def test_no_factorable_point_is_factorization_error(self, monkeypatch):
+        # Every start begins at an objective of inf, so the fit has no
+        # point to return and fails the one way a factorization does.
+        def failing(self, rho, s):
+            raise FactorizationError("not positive definite")
+
+        monkeypatch.setattr(gp._ChartStack, "stats", failing)
+        with pytest.raises(FactorizationError, match="no point the fit"):
+            fit_hyperparams(mixed_charts(23))
+
 
 def noisy_charts(gen, n, sigma, epsilon, delta, d):
     cloud = add_gaussian_noise(gen(n, seed=7), NoiseSpec(sigma, 8))
@@ -593,7 +598,7 @@ def noisy_charts(gen, n, sigma, epsilon, delta, d):
                  id="cassini"),
     pytest.param(lambda: noisy_charts(gen_torus, 558, 0.12, 0.8, 1.0, 2),
                  id="torus"),
-    pytest.param(lambda: mixed_charts(23), id="one-row-and-empty"),
+    pytest.param(lambda: mixed_charts(23), id="one-row"),
     pytest.param(lambda: [rotated_chart()[0]], id="rotated"),
     pytest.param(lambda: [make_chart(c.predictors, 0.0 * c.responses)
                           for c in mixed_charts(5)],

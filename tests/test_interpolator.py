@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
+from mrgap.gp import GpHyperParams
 from mrgap.interpolator import (
     estimate_domain_ball,
     interpolate,
     sample_ball_uniform,
 )
+from mrgap.local_geometry import InsufficientNeighborsError
 from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
 
 from .oracles import grmse_analytic, interpolate_full_scan, plane
@@ -160,6 +162,20 @@ class TestInterpolate:
         trace, cfg = flat_plane_trace()
         with pytest.raises(ValueError):
             interpolate(trace, cfg, K=0)
+
+    def test_every_chart_degenerate_is_insufficient_neighbors(self):
+        # Isolated clusters of d + 1 copies of one point: every epsilon-ball
+        # holds enough points, but every chart's predictors coincide.
+        cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
+                            max_iter=1)
+        cloud = PointCloud(np.repeat(np.eye(3) * 10.0, 2, axis=0))
+        trace = DenoiseTrace(clouds=[cloud, cloud],
+                             hypers=[GpHyperParams(A=1.0, rho=1.0, sigma=0.1)],
+                             predictive_variances=[0.0] * cloud.n)
+        with pytest.warns(UserWarning, match="degenerate domain"), \
+                pytest.raises(InsufficientNeighborsError,
+                              match="every chart's domain is degenerate"):
+            interpolate(trace, cfg, K=2)
 
 
 def assert_matches_full_scan(trace, cfg, K, seed):

@@ -23,6 +23,13 @@ from mrgap.interpolator import interpolate
 from mrgap.spectral_dim import estimate_dimension
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (0, 3)],
+                         ids=["1-d", "3-d", "empty"])
+def test_cloud_is_a_nonempty_2d_array(shape):
+    with pytest.raises(ValueError, match=r"\(n, D\), n >= 1"):
+        PointCloud(np.zeros(shape))
+
+
 def test_cloud_rejects_nonfinite():
     with pytest.raises(ValueError):
         PointCloud(np.array([[1.0, np.nan]]))
@@ -200,10 +207,13 @@ class TestCsv:
             assert got == [p.read_bytes()]
 
     def test_empty_cloud_round_trip_fails_on_reload(self, tmp_path):
-        cloud = PointCloud(np.empty((0, 3)))
+        # PointCloud refuses an empty cloud; save_csv still writes an empty
+        # array, and load_csv refuses the file.
+        with pytest.raises(ValueError, match="n >= 1"):
+            PointCloud(np.empty((0, 3)))
         p = tmp_path / "c.csv"
-        save_csv(cloud, p)
-        with pytest.raises(CsvFormatError):
+        save_csv(np.empty((0, 3)), p)
+        with pytest.raises(CsvFormatError, match="empty file"):
             load_csv(p)
 
     def test_cassini_round_trip_grmse_zero(self, tmp_path):
