@@ -20,6 +20,12 @@ Williams, GPML ch. 5), so the fit searches (log rho, log s) only.  P_k is
 kept as a factor R_k R_k^T with at most N_k columns, computed once per
 fit, so an evaluation costs no more for q = 700 than for q = N_k.
 
+The fit chooses the basin on a farthest-point net of the charts, a few
+dozen of them spread over the cloud (the "subset of datapoints" of GPML
+section 8.3), and then finishes on all charts, so its result is still an
+optimum of the full joint likelihood: an L-BFGS-B polish, then Newton
+steps on the analytic gradient.
+
 A chart's responses are ambient residuals: D columns that span only its
 q = D - d normal directions.  Z_k Z_k^T is the same in any orthonormal
 basis of that space, so the likelihood uses them as they are, with the
@@ -57,6 +63,13 @@ _EXP_MIN = np.log(0.5 * np.finfo(float).eps)
 # likely from page-faulting its larger temporaries in again each time.
 _BUCKET = 8
 _STACK_ELEMS = 2 ** 15
+# The fit's Newton finish: the forward-difference step of its Hessian in
+# (log rho, log s), the rise in f (relative to 1 + |f|) it takes for
+# rounding, the step length below which it stops, and its most steps.
+_PROBE = 1e-6
+_ROUNDING = 1e-13
+_NEWTON_TOL = 1e-9
+_NEWTON_STEPS = 10
 
 
 class FactorizationError(RuntimeError):
@@ -330,58 +343,129 @@ def _value_grad(st: _Stats, A: float) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def _net(charts: list[ChartRegression]) -> list[ChartRegression]:
+    """A farthest-point net of the chart bases, in the order chosen: from
+    the base farthest from their centroid, it adds the base farthest from
+    the net until every base lies within the charts' reach, their largest
+    member distance.  The charts' order and rigid motions leave it as it
+    is, ties aside."""
+    bases = np.array([c.base for c in charts])
+    # A member's distance from its base is |(w, z)|: z is orthogonal to U.
+    reach = np.sqrt(max(np.max(np.sum(c.predictors ** 2, axis=1)
+                               + np.sum(c.responses ** 2, axis=1))
+                        for c in charts))
+    dist = np.full(len(charts), np.inf)
+    k = int(np.argmax(np.linalg.norm(bases - bases.mean(axis=0), axis=1)))
+    net = []
+    while dist[k] > reach:
+        net.append(charts[k])
+        np.minimum(dist, np.linalg.norm(bases - bases[k], axis=1), out=dist)
+        k = int(np.argmax(dist))
+    return net
+
+
+class _Search:
+    """The fit's search on one chart stack, in theta = (log rho, log s),
+    boxed around the init.  Its objective f is minus the log likelihood
+    over qN at the profiled A*: scaled so that the optimizer's tolerances
+    do not depend on the data size (unscaled, starts stopped after two
+    evaluations at rho -> 0).  It keeps the last point it scored and the
+    best, each as (f, theta, gradient of f, hyperparameters).  A later
+    point is better only by more than rounding, so on a surface flat to
+    rounding the first stays the best."""
+
+    def __init__(self, stack: _ChartStack, init: GpHyperParams):
+        self.stack, self.qN = stack, stack.q * stack.N
+        span = np.exp([-_LOG_SPAN, _LOG_SPAN])
+        self.A_box = init.A * span
+        self.bounds = [np.log(init.rho * span),
+                       (np.log(S_FLOOR), -np.log(S_FLOOR))]
+        self.last = self.best = (np.inf, None, None, None)
+
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        rho, s = np.exp(theta)
+        try:
+            st = self.stack.stats(rho, s)
+        except FactorizationError:
+            return np.inf, np.zeros(2)
+        A = float(np.clip(st.T / self.qN, *self.A_box))
+        # At a clamped A this is the full likelihood, else the profiled one
+        # (whose gradient the envelope theorem makes the fixed-A gradient).
+        value, grad = _value_grad(st, A)
+        f, g = -value / self.qN, -grad[1:] / self.qN
+        self.last = (f, np.array(theta), g,
+                     GpHyperParams(A, float(rho), float(np.sqrt(s * A))))
+        if self.best[3] is None or \
+                f < self.best[0] - _ROUNDING * (1.0 + abs(self.best[0])):
+            self.best = self.last
+        return f, g
+
+    def lbfgs(self, theta: np.ndarray) -> None:
+        minimize(self, theta, jac=True, method="L-BFGS-B", bounds=self.bounds,
+                 options={"maxiter": 200})
+
+    def newton(self) -> GpHyperParams:
+        """Newton steps from the best point, with the Hessian from forward
+        differences of the gradient, each step clipped to the box.  A step
+        is kept if f rises by no more than rounding.  The last point kept
+        is returned once a step is refused or moves less than _NEWTON_TOL,
+        or the Hessian is not positive definite: the gradient, not an
+        f-based stopping rule, fixes it."""
+        f0, theta, g, hyper = self.best
+        for _ in range(_NEWTON_STEPS):
+            probes = [self(theta + _PROBE * e) for e in np.eye(2)]
+            H = (np.column_stack([p[1] for p in probes]) - g[:, None]) / _PROBE
+            H = 0.5 * (H + H.T)
+            if not np.isfinite(probes[0][0] + probes[1][0]) or \
+                    np.linalg.eigvalsh(H)[0] <= 0:
+                break
+            new = np.clip(theta - np.linalg.solve(H, g),
+                          *np.transpose(self.bounds))
+            if not self(new)[0] <= f0 + _ROUNDING * (1.0 + abs(f0)):
+                break
+            moved = np.max(np.abs(new - theta))
+            _, theta, g, hyper = self.last
+            if moved < _NEWTON_TOL:
+                break
+        return hyper
+
+
 def fit_hyperparams(
     charts: list[ChartRegression],
     init: GpHyperParams | None = None,
 ) -> GpHyperParams:
     """Maximize the joint log marginal likelihood over (A, rho, sigma).
 
-    A is profiled out; L-BFGS searches (log rho, log s), s = sigma^2 / A,
-    from the init (by default the chart stack's default_start) and from
-    rho x10, /10 and s x100, /100.  Each parameter's box is relative to
-    the init: rho within e^(+-40) of its rho, A* within e^(+-40) of its A,
-    and s in [S_FLOOR, 1 / S_FLOOR].  So c X fits c^2 A, c^2 rho and
-    c sigma.  The fit returns the best point it evaluated.  The first is
-    the init's (rho, s) at the best A in a box that holds the init's A, so
-    the result is never worse than the init.  It raises FactorizationError
-    if no point evaluated factors.  Deterministic.  The charts are those
-    of build_charts: at least one, each holding a row.
+    A is profiled out, and the search is over (log rho, log s), s =
+    sigma^2 / A.  Each parameter's box is relative to the init (by
+    default the chart stack's default_start): rho within e^(+-40) of its
+    rho, A* within e^(+-40) of its A, and s in [S_FLOOR, 1 / S_FLOOR].
+    So c X fits c^2 A, c^2 rho and c sigma.
+
+    The screen runs L-BFGS-B from the init and from rho x10, /10 and
+    s x100, /100 on the charts of _net.  On all charts the fit then
+    scores the init, polishes the screen's best point with one L-BFGS-B
+    run, and takes Newton steps from the best point scored there.  So
+    the result is never worse than the init by more than rounding, and
+    its gradient, not a stopping rule, fixes it: the order of the charts
+    moves it by rounding only.  It raises FactorizationError if no point
+    evaluated on all charts factors.  Deterministic.  The charts are
+    those of build_charts: at least one, each holding a row.
     """
     stack = _ChartStack.of_charts(charts)
     init = init or stack.default_start()
     init = GpHyperParams(init.A, init.rho,
                          max(init.sigma, float(np.sqrt(S_FLOOR * init.A))))
-    # Scaled by qN so that the optimizer's tolerances do not depend on the
-    # data size: unscaled, starts stopped after two evaluations at rho -> 0.
-    qN = stack.q * stack.N
-    span = np.exp([-_LOG_SPAN, _LOG_SPAN])
-    A_box = init.A * span
-    best_val, best = np.inf, None  # the lowest objective and its point
-
-    def neg(theta):
-        nonlocal best_val, best
-        rho, s = np.exp(theta)
-        try:
-            st = stack.stats(rho, s)
-        except FactorizationError:
-            return np.inf, np.zeros(2)
-        A = float(np.clip(st.T / qN, *A_box))
-        # At a clamped A this is the full likelihood, else the profiled one
-        # (whose gradient the envelope theorem makes the fixed-A gradient).
-        value, grad = _value_grad(st, A)
-        f = -value / qN
-        if f < best_val:
-            best_val = f
-            best = GpHyperParams(A, float(rho), float(np.sqrt(s * A)))
-        return f, -grad[1:] / qN
-
     t0 = np.log([init.rho, init.sigma ** 2 / init.A])
-    starts = [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
-                     for sign in (-1.0, 1.0)]
-    bounds = [np.log(init.rho * span), (np.log(S_FLOOR), -np.log(S_FLOOR))]
-    for t in starts:
-        minimize(neg, t, jac=True, method="L-BFGS-B", bounds=bounds,
-                 options={"maxiter": 200})
-    if best is None:
+    screen = _Search(_ChartStack.of_charts(_net(charts)), init)
+    for t in [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
+                     for sign in (-1.0, 1.0)]:
+        screen.lbfgs(t)
+    winner = t0 if screen.best[1] is None else screen.best[1]
+    full = _Search(stack, init)
+    if not np.array_equal(winner, t0):
+        full(t0)
+    full.lbfgs(winner)
+    if full.best[3] is None:
         raise FactorizationError("no point the fit evaluated factored")
-    return best
+    return full.newton()

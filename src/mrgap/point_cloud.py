@@ -144,11 +144,15 @@ def load_csv(path) -> PointCloud:
 
 def save_csv(cloud: PointCloud | np.ndarray, path) -> None:
     """Write a cloud or array as CSV rows of 17 significant digits to an
-    open text file, or as plain text to a path (opened once, any suffix)."""
+    open text file, or as plain text to a path (opened once, any suffix).
+    An empty array raises ValueError before anything is written: load_csv
+    refuses the empty file it would make."""
+    rows = cloud.points if isinstance(cloud, PointCloud) else cloud
+    if np.size(rows) == 0:
+        raise ValueError(f"cannot write an empty array, shape {np.shape(rows)}")
     if not hasattr(path, "write"):
         with open(path, "w") as fh:
-            return save_csv(cloud, fh)
-    rows = cloud.points if isinstance(cloud, PointCloud) else cloud
+            return save_csv(rows, fh)
     np.savetxt(path, rows, delimiter=",", fmt="%.17g")
 
 

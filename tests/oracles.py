@@ -15,12 +15,15 @@ The last helpers are test-only compositions of mrgap's own kernels:
 - joint_log_marginal: the summed likelihood of a list of charts, the
   same way;
 - default_init: the fit's default start, computed chart by chart;
+- five_start_fit: the fit as a plain five-start L-BFGS-B search over all
+  charts, from gp._ChartStack and gp._value_grad;
 - sandwich_gap_check: grmse against grmse_analytic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from mrgap import gp
@@ -319,6 +322,45 @@ def default_init(charts):
     if A == 0.0:
         A = rho
     return gp.GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
+
+
+def five_start_fit(charts, init=None):
+    """The joint fit searched the plain way: L-BFGS-B over (log rho, log s)
+    on every chart, from the init and from rho x10, /10 and s x100, /100,
+    in the same boxes as gp.fit_hyperparams, keeping the best point
+    evaluated.  Returns that point and, per start, the scaled log
+    likelihood its run ended at."""
+    stack = gp._ChartStack.of_charts(charts)
+    init = init or stack.default_start()
+    init = gp.GpHyperParams(init.A, init.rho, max(
+        init.sigma, float(np.sqrt(gp.S_FLOOR * init.A))))
+    qN = stack.q * stack.N
+    span = np.exp([-gp._LOG_SPAN, gp._LOG_SPAN])
+    best = [np.inf, None]
+
+    def neg(theta):
+        rho, s = np.exp(theta)
+        try:
+            st = stack.stats(rho, s)
+        except gp.FactorizationError:
+            return np.inf, np.zeros(2)
+        A = float(np.clip(st.T / qN, *(init.A * span)))
+        value, grad = gp._value_grad(st, A)
+        if -value / qN < best[0]:
+            best[:] = -value / qN, gp.GpHyperParams(A, rho, np.sqrt(s * A))
+        return -value / qN, -grad[1:] / qN
+
+    t0 = np.log([init.rho, init.sigma ** 2 / init.A])
+    bounds = [np.log(init.rho * span), (np.log(gp.S_FLOOR), -np.log(gp.S_FLOOR))]
+    ends = []
+    for dt in ([0, 0], [np.log(10), 0], [-np.log(10), 0],
+               [0, np.log(100)], [0, -np.log(100)]):
+        res = minimize(neg, t0 + dt, jac=True, method="L-BFGS-B",
+                       bounds=bounds, options={"maxiter": 200})
+        ends.append(-float(res.fun))
+    if best[1] is None:
+        raise gp.FactorizationError("no point the fit evaluated factored")
+    return best[1], ends
 
 
 def sandwich_gap_check(eval_set, reference_on_manifold, analytic_manifold, r):

@@ -171,21 +171,30 @@ class TestDenoise:
 
     def test_permutation_invariance(self):
         # Neither the input order nor the k-d tree's candidate order may
-        # leak into the results.
-        clean = gen_cassini(102, seed=7)
-        noisy = add_gaussian_noise(clean, NoiseSpec(0.04, 8))
+        # leak into the results, on any seed.  Seed 11 has a point with
+        # an empty epsilon-ball, in either order.
         perm = np.random.default_rng(3).permutation(102)
         cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
                             max_iter=2, sigma_tol=0.0)
-        a = denoise(noisy, cfg)
-        b = denoise(PointCloud(noisy.points[perm]), cfg)
-        assert a.rounds == b.rounds == 2
-        np.testing.assert_allclose(b.clouds[-1].points,
-                                   a.clouds[-1].points[perm], rtol=0,
-                                   atol=1e-10)
-        for ha, hb in zip(a.hypers, b.hypers):
-            np.testing.assert_allclose([hb.A, hb.rho, hb.sigma],
-                                       [ha.A, ha.rho, ha.sigma], rtol=1e-10)
+        for seed in range(24):
+            noisy = add_gaussian_noise(gen_cassini(102, seed=seed),
+                                       NoiseSpec(0.04, seed + 1))
+            moved = PointCloud(noisy.points[perm])
+            if seed == 11:
+                for cloud in (noisy, moved):
+                    with pytest.raises(InsufficientNeighborsError):
+                        denoise(cloud, cfg)
+                continue
+            a = denoise(noisy, cfg)
+            b = denoise(moved, cfg)
+            assert a.rounds == b.rounds == 2
+            np.testing.assert_allclose(b.clouds[-1].points,
+                                       a.clouds[-1].points[perm], rtol=0,
+                                       atol=1e-10, err_msg=f"seed {seed}")
+            for ha, hb in zip(a.hypers, b.hypers):
+                np.testing.assert_allclose([hb.A, hb.rho, hb.sigma],
+                                           [ha.A, ha.rho, ha.sigma],
+                                           rtol=1e-10, err_msg=f"seed {seed}")
 
     @pytest.mark.parametrize("c", [1e-3, 3.0, 1e3])
     def test_scale_equivariance(self, c):

@@ -207,14 +207,15 @@ class TestCsv:
             assert got == [p.read_bytes()]
 
     def test_empty_cloud_round_trip_fails_on_reload(self, tmp_path):
-        # PointCloud refuses an empty cloud; save_csv still writes an empty
-        # array, and load_csv refuses the file.
+        # PointCloud refuses an empty cloud, and save_csv an empty array,
+        # before it creates the file that load_csv would refuse.
         with pytest.raises(ValueError, match="n >= 1"):
             PointCloud(np.empty((0, 3)))
         p = tmp_path / "c.csv"
-        save_csv(np.empty((0, 3)), p)
-        with pytest.raises(CsvFormatError, match="empty file"):
-            load_csv(p)
+        for empty in (np.empty((0, 3)), np.empty(0)):
+            with pytest.raises(ValueError, match=r"empty array, shape \(0,"):
+                save_csv(empty, p)
+        assert not p.exists()
 
     def test_cassini_round_trip_grmse_zero(self, tmp_path):
         cloud = gen_cassini(50, seed=1)
