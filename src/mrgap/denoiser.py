@@ -39,13 +39,14 @@ class DenoiseConfig:
 class DenoiseTrace:
     """Everything the interpolation phase needs from the denoising run.
 
-    clouds[0] is the input, clouds[-1] the final denoised output; the
-    interpolator consumes clouds[-2] together with hypers[-1], and
+    clouds[-1] is the denoised output; the interpolator reads clouds[-2]
+    with hypers[-1].  A trace from denoise holds the input as clouds[0];
+    one from cli.trace_from_json holds just clouds[-2:].
     predictive_variances[k] is the last round's posterior variance at the
-    base of chart k, the point its displacement was predicted at.  A trace
-    holds at least 2 clouds, all of one shape, at least 1 fit, and one
-    finite, nonnegative variance per point of clouds[-1]; anything else
-    raises ValueError naming the field.
+    base of chart k, where its displacement was predicted.  A trace holds
+    at least 2 clouds, all of one shape, at least 1 fit, and one finite,
+    nonnegative variance per point of clouds[-1]; anything else raises
+    ValueError naming the field.
     """
 
     clouds: list[PointCloud]

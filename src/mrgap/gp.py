@@ -40,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -57,10 +58,9 @@ _LOG_SPAN = 40.0
 _JITTERS = np.concatenate([[0.0], 10.0 ** np.arange(-12, -5)])
 # exp(_EXP_MIN) is half an ulp of 1; smaller kernel entries are set to 0.
 _EXP_MIN = np.log(0.5 * np.finfo(float).eps)
-# Charts are padded to a multiple of _BUCKET rows so that a few stacks hold
-# them.  A stack holds at most _STACK_ELEMS entries per matrix array: one
-# stack per size measured ~30% slower per evaluation on the torus, most
-# likely from page-faulting its larger temporaries in again each time.
+# Charts are padded to a multiple of _BUCKET rows, grouping them into
+# stacks of at most _STACK_ELEMS entries per matrix array: one stack per
+# size measured ~30% slower per torus evaluation, likely from page faults.
 _BUCKET = 8
 _STACK_ELEMS = 2 ** 15
 # The fit's Newton finish: the forward-difference step of its Hessian in
@@ -101,12 +101,6 @@ def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarra
     return K
 
 
-def _diagonal(M: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of a C-contiguous (B, n, n) stack."""
-    n = M.shape[-1]
-    return M.reshape(M.shape[0], n * n)[:, :: n + 1]
-
-
 def _cholesky_stack(M: np.ndarray, real: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (B, n, n) stack of symmetric matrices
     scaled to a unit kernel diagonal.
@@ -130,31 +124,6 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> float:
     fit on two cores, where SciPy's BLAS threads spin as well.
     """
     return float(np.einsum("i,i->", X.ravel(), Y.ravel()))
-
-
-def _lower_inverse(L: np.ndarray, b: int = _BUCKET) -> np.ndarray:
-    """Inverses of a (B, n, n) stack of lower-triangular matrices, n a
-    multiple of b, by block forward substitution.
-
-    Batched matmuls run several times faster than np.linalg.inv, which
-    does one small LU factorization per matrix.  Diagonal b x b blocks are
-    inverted together, by the same substitution with b = 1.
-    """
-    B, n, _ = L.shape
-    m = n // b
-    idx = np.arange(m)
-    D = L.reshape(B, m, b, m, b)[:, idx, :, idx, :]  # (m, B, b, b)
-    if b == 1:
-        D_inv = 1.0 / D
-    else:
-        D_inv = _lower_inverse(D.reshape(m * B, b, b), 1).reshape(m, B, b, b)
-    X = np.zeros_like(L)
-    for i in range(m):
-        rows, done = slice(i * b, (i + 1) * b), slice(0, i * b)
-        X[:, rows, rows] = D_inv[i]
-        if i:
-            X[:, rows, done] = -D_inv[i] @ (L[:, rows, done] @ X[:, done, done])
-    return X
 
 
 def _factor(build, scale) -> np.ndarray:
@@ -318,15 +287,20 @@ class _ChartStack:
             M *= G > _EXP_MIN
             G *= M
             G *= -1.0  # dM/dlog rho
-            _diagonal(M)[...] += s * b.real + (1.0 - b.real)
+            np.einsum("bii->bi", M)[...] += s * b.real + (1.0 - b.real)
+            # M^-1 = L^-T L^-1, each stacked factor L inverted by dtrtri.
             L = _cholesky_stack(M, b.real)
             logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
-            Linv = _lower_inverse(L)
+            Linv = np.empty_like(L)
+            for k, l in enumerate(L):
+                Linv[k], info = dtrtri(l, lower=1)
+                if info:
+                    raise FactorizationError(f"dtrtri failed with info {info}")
             Minv = np.matmul(Linv.transpose(0, 2, 1), Linv)
             alpha = Minv @ b.R
             T += _inner(b.R, alpha)
             U += (_inner(G @ alpha, alpha), _inner(alpha, alpha))
-            V += (_inner(G, Minv), _inner(_diagonal(Minv), b.real))
+            V += (_inner(G, Minv), _inner(np.einsum("bii->bi", Minv), b.real))
         return _Stats(T, logdet, U, V, s, self.N, self.q)
 
 

@@ -397,7 +397,10 @@ def dense_joint(charts, hyper):
 
 class TestStackedKernel:
     def test_value_and_gradient_match_dense_oracle(self):
-        charts = mixed_charts(20)
+        # mixed_charts stop at 20 rows; torus charts reach 46 (bucket 48).
+        rng = np.random.default_rng(24)
+        charts = mixed_charts(20) + [
+            make_chart(rng.normal(size=(46, 2)), rng.normal(size=(46, 2)))]
         theta = np.log([1.3, 0.7, 0.2 ** 2 / 1.3])
         hyper = hyper_from(theta)
         stack = gp._ChartStack.of_charts(charts)
@@ -441,6 +444,12 @@ class TestStackedKernel:
         assert abs(dL(a_star)) <= 1e-6 * qN
         assert dL(a_star + 1.0) < -0.1 * qN
         assert dL(a_star - 1.0) > 0.1 * qN
+
+    def test_failed_inverse_raises_factorization_error(self, monkeypatch):
+        monkeypatch.setattr(gp, "dtrtri", lambda l, lower: (l, 1))
+        stack = gp._ChartStack.of_charts(mixed_charts(20))
+        with pytest.raises(FactorizationError, match="info 1"):
+            stack.stats(0.7, 0.03)
 
     def test_jitter_on_duplicate_predictors_at_sigma_floor(self):
         rng = np.random.default_rng(22)
