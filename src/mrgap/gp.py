@@ -46,16 +46,15 @@ from scipy.spatial.distance import cdist
 
 from .local_geometry import ChartRegression
 
-# s = sigma^2 / A stays in [S_FLOOR, 1 / S_FLOOR]: sigma >= 1e-9 sqrt(A).
-S_FLOOR = 1e-18
+# s = sigma^2 / A stays in [S_FLOOR, 1 / S_FLOOR]: sigma >= 1e-5 sqrt(A).
+# Rounding perturbs an N x N unit-diagonal Gram by about N ulps in norm,
+# 3 to 5 orders below this floor for the charts seen, so M = K0 + s I
+# factors without jitter, also where predictors repeat.
+S_FLOOR = 1e-10
 _LOG_2PI = np.log(2.0 * np.pi)
 # The fit keeps rho and the profiled A* within e^(+-_LOG_SPAN) of the
 # start's rho and A, so that its search box scales with the data.
 _LOG_SPAN = 40.0
-# Cholesky jitter levels relative to the kernel scale A; the noise-free Gram
-# of duplicate predictors is exactly singular, so some jitter is routinely
-# needed when sigma is tiny.
-_JITTERS = np.concatenate([[0.0], 10.0 ** np.arange(-12, -5)])
 # exp(_EXP_MIN) is half an ulp of 1; smaller kernel entries are set to 0.
 _EXP_MIN = np.log(0.5 * np.finfo(float).eps)
 # Charts are padded to a multiple of _BUCKET rows, grouping them into
@@ -73,7 +72,7 @@ _NEWTON_STEPS = 10
 
 
 class FactorizationError(RuntimeError):
-    """Gram factorization failed even after jitter escalation."""
+    """A covariance matrix did not factor: it is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -101,21 +100,6 @@ def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarra
     return K
 
 
-def _cholesky_stack(M: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (B, n, n) stack of symmetric matrices
-    scaled to a unit kernel diagonal.
-
-    If the stack does not factor, _factor factors each matrix on its own,
-    with jitter on its real rows only (real is a (B, n) 0/1 array), so the
-    other matrices of the stack keep none.
-    """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return np.stack([_factor(lambda b=b: M[b].copy(), real[b])
-                         for b in range(M.shape[0])])
-
-
 def _inner(X: np.ndarray, Y: np.ndarray) -> float:
     """sum(X * Y), deliberately without BLAS.
 
@@ -126,57 +110,34 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.einsum("i,i->", X.ravel(), Y.ravel()))
 
 
-def _factor(build, scale) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric matrix build() returns.
-
-    A matrix that does not factor gets diagonal jitter level * scale, the
-    level escalating tenfold from 1e-12 to 1e-6; scale is the kernel scale
-    A, or one value per row (0 on rows that take no jitter).
-
-    Each attempt factors a new matrix from build() in place, since a failed
-    attempt leaves its buffer partly overwritten.  The factorization is
-    SciPy's, like the solves that follow it: NumPy and SciPy each bring
-    their own threaded BLAS, and alternating between the two made each call
-    several times slower on two cores.
-    """
-    for level in _JITTERS:
-        K = build()
-        if level:
-            K[np.diag_indices_from(K)] += level * scale
-        try:
-            # K is symmetric: K.T is K in the column-major order LAPACK
-            # factors in place.
-            return cholesky(K.T, lower=True, overwrite_a=True,
-                            check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
-    n = np.count_nonzero(np.broadcast_to(scale, K.shape[:1]))
-    raise FactorizationError(
-        f"Cholesky failed for {n}x{n} system at max jitter "
-        f"{_JITTERS[-1] * np.max(scale):g}"
-    )
-
-
 def predictive(
     train_w: np.ndarray,
     train_z: np.ndarray,
     test_u: np.ndarray,
     hyper: GpHyperParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean (m, q) and variance (m,), GPML eqs. 2.25-2.26."""
+    """Posterior mean (m, q) and variance (m,), GPML eqs. 2.25-2.26.
 
-    def train_cov():
-        K = _cross_gram(train_w, train_w, hyper)
-        K[np.diag_indices_from(K)] += hyper.sigma ** 2
-        return K
-
-    L = _factor(train_cov, hyper.A)
+    The noise variance is at least S_FLOOR * A, so that sigma = 0 works:
+    with repeated predictors the posterior is that of the distinct ones.
+    """
+    K = _cross_gram(train_w, train_w, hyper)
+    K[np.diag_indices_from(K)] += max(hyper.sigma ** 2, S_FLOOR * hyper.A)
+    try:
+        # K is symmetric: K.T is K in the column-major order LAPACK
+        # factors in place.
+        L = cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        n = len(K)
+        raise FactorizationError(f"Cholesky failed for {n}x{n} system") from exc
     s3 = _cross_gram(test_u, train_w, hyper)
     # The solves take the m columns of s3^T, never the q of the responses,
     # which may be hundreds: mean = W^T z with W = K^-1 s3^T, and
-    # variance = A - colsum(V o V) with V = L^-1 s3^T.  The product uses
-    # SciPy's BLAS, as _factor does, for the reason given there; train_z.T
-    # and W are Fortran-ordered, so dgemm copies neither.
+    # variance = A - colsum(V o V) with V = L^-1 s3^T.  The factorization,
+    # solves and product are SciPy's: NumPy and SciPy each bring their own
+    # threaded BLAS, and alternating between the two made each call several
+    # times slower on two cores.  train_z.T and W are Fortran-ordered, so
+    # dgemm copies neither.
     V = solve_triangular(L, s3.T, lower=True, check_finite=False)
     W = solve_triangular(L, V, lower=True, trans="T", check_finite=False)
     mean = dgemm(1.0, train_z.T, W).T
@@ -289,7 +250,12 @@ class _ChartStack:
             G *= -1.0  # dM/dlog rho
             np.einsum("bii->bi", M)[...] += s * b.real + (1.0 - b.real)
             # M^-1 = L^-T L^-1, each stacked factor L inverted by dtrtri.
-            L = _cholesky_stack(M, b.real)
+            try:
+                L = np.linalg.cholesky(M)
+            except np.linalg.LinAlgError as exc:
+                raise FactorizationError(
+                    f"Cholesky failed in a stack of {b.sq.shape[1]}-row charts"
+                ) from exc
             logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
             Linv = np.empty_like(L)
             for k, l in enumerate(L):

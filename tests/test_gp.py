@@ -152,10 +152,10 @@ class TestPredictive:
 
     def test_duplicate_predictors_at_zero_noise(self, monkeypatch):
         # Four of 56 grid points appear twice, with equal responses.  The
-        # noise-free Gram is then singular and is factored again with
-        # jitter, and the posterior is that of the 56 distinct points.
-        # Their Gram is well conditioned (spacing 1 against rho 0.5), so
-        # the jitter moves the result by about 1e-12.
+        # noise-free Gram is then singular, but the noise floor S_FLOOR * A
+        # lets it factor at once, and the posterior is that of the 56
+        # distinct points.  Their Gram is well conditioned (spacing 1
+        # against rho 0.5), so the floor moves the result by about 1e-10.
         attempts = []
 
         def counting_cholesky(*args, **kwargs):
@@ -172,14 +172,14 @@ class TestPredictive:
         hyper = GpHyperParams(A=1.3, rho=0.5, sigma=0.0)
         mean, var = predictive(np.vstack([grid, grid[twice]]),
                                np.vstack([z, z[twice]]), u, hyper)
-        assert len(attempts) > 1
+        assert len(attempts) == 1
         want_mean, cov = conditioning_oracle(grid, z, u, hyper)
         np.testing.assert_allclose(mean, want_mean, atol=1e-8)
         np.testing.assert_allclose(var, np.diag(cov), atol=1e-8)
 
     def test_inputs_unmodified(self):
         # also with duplicate predictors at sigma 0, where the Gram is
-        # factored again with jitter
+        # factored with the noise floor
         rng = np.random.default_rng(7)
         w, z, u = random_instance(rng, 6, 3)
         w[1] = w[0]
@@ -189,6 +189,15 @@ class TestPredictive:
             assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
             for before, after in zip(copies, (w, z, u)):
                 np.testing.assert_array_equal(after, before)
+
+    def test_failed_factorization_names_the_system(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "cholesky", failing)
+        w, z, u = random_instance(np.random.default_rng(9), 6, 3)
+        with pytest.raises(FactorizationError, match=r"6x6 system"):
+            predictive(w, z, u, HYPER)
 
     def test_variance_bounded_by_prior(self):
         rng = np.random.default_rng(5)
@@ -451,7 +460,7 @@ class TestStackedKernel:
         with pytest.raises(FactorizationError, match="info 1"):
             stack.stats(0.7, 0.03)
 
-    def test_jitter_on_duplicate_predictors_at_sigma_floor(self):
+    def test_duplicate_predictors_factor_at_sigma_floor(self):
         rng = np.random.default_rng(22)
         w = rng.normal(size=(6, 2))
         dup = make_chart(np.vstack([w, w]), rng.normal(size=(12, 1)))
@@ -461,7 +470,8 @@ class TestStackedKernel:
         assert np.isfinite(single)
         assert np.all(np.isfinite(
             log_marginal_gradient(dup.predictors, normal_part(dup), hyper)))
-        # Only the singular chart gets jitter; its stack-mate keeps none.
+        # The chart with each predictor twice factors at the floor, and the
+        # joint likelihood is the sum of the two charts' own.
         np.testing.assert_allclose(
             joint_log_marginal([dup, other], hyper),
             single + log_marginal(other.predictors, normal_part(other), hyper),
@@ -471,75 +481,15 @@ class TestStackedKernel:
         assert (joint_log_marginal([dup, other], fitted)
                 >= joint_log_marginal([dup, other], hyper))
 
-    def test_jitter_escalates_per_matrix_then_raises(self):
-        pd = np.array([[2.0, 0.5], [0.5, 1.0]])
-        singular = np.ones((2, 2))
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        real = np.ones((2, 2))
-        L = gp._cholesky_stack(np.stack([pd, singular]), real)
-        np.testing.assert_array_equal(L[0], np.linalg.cholesky(pd))
-        np.testing.assert_allclose(L[1] @ L[1].T, singular, atol=1e-6)
-        with pytest.raises(FactorizationError):
-            gp._cholesky_stack(np.stack([pd, indefinite]), real)
-
-    @staticmethod
-    def padded(K, n):
-        """K in the top-left of an n x n identity, and its real-row mask."""
-        M = np.eye(n)
-        M[:K.shape[0], :K.shape[0]] = K
-        real = np.zeros(n)
-        real[:K.shape[0]] = 1.0
-        return M, real
-
-    def test_failed_stack_is_factored_per_matrix_by_factor(self):
-        rng = np.random.default_rng(5)
-        w = rng.normal(size=(3, 2))
-        unit = GpHyperParams(A=1.0, rho=1.0, sigma=0.0)
-        dup = gram(np.vstack([w, w]), unit)  # s = 0: exactly singular
-        pd = [gram(rng.normal(size=(8, 2)), unit) + 0.5 * np.eye(8)
-              for _ in range(2)]
-        blocks = [self.padded(K, 8) for K in (pd[0], dup, pd[1])]
-        M = np.stack([m for m, _ in blocks])
-        real = np.stack([r for _, r in blocks])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(M)
-        L = gp._cholesky_stack(M, real)
-        for b in range(3):
-            np.testing.assert_array_equal(
-                L[b], gp._factor(lambda: M[b].copy(), real[b]))
-        np.testing.assert_array_equal(L[1, 6:, :], np.eye(8)[6:])
-
-    def test_failed_stack_names_the_real_size(self):
-        indefinite = np.ones((6, 6)) - 2.0 * np.eye(6)
-        M, real = self.padded(indefinite, 8)
-        with pytest.raises(FactorizationError, match=r"6x6 system"):
-            gp._cholesky_stack(np.stack([np.eye(8), M]),
-                               np.stack([np.ones(8), real]))
-
-    def test_single_factor_escalates_jitter_on_a_fresh_matrix(self):
-        # a failed attempt overwrites its matrix, so every attempt builds
-        # a new one
-        built = []
-
-        def build():
-            built.append(np.ones((2, 2)))
-            return built[-1]
-
-        L = gp._factor(build, 1.0)
-        assert len(built) == 2
-        np.testing.assert_allclose(L @ L.T, np.ones((2, 2)) + 1e-12 * np.eye(2),
-                                   rtol=0, atol=1e-15)
-
-    def test_single_factor_raises_on_indefinite(self):
-        built = []
-
-        def build():
-            built.append(np.array([[1.0, 2.0], [2.0, 1.0]]))
-            return built[-1]
-
-        with pytest.raises(FactorizationError):
-            gp._factor(build, 1.0)
-        assert len(built) == len(gp._JITTERS)
+    def test_indefinite_stack_raises_factorization_error(self):
+        # With a repeated predictor, M = K0 + sI at s = -0.5 has an
+        # eigenvalue of -0.5.
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=(5, 2))
+        chart = make_chart(np.vstack([w, w[:1]]), rng.normal(size=(6, 1)))
+        stack = gp._ChartStack.of_charts([chart])
+        with pytest.raises(FactorizationError, match="Cholesky failed"):
+            stack.stats(0.5, -0.5)
 
     def test_fit_is_never_worse_than_its_init(self):
         # From a poor init, and from the fit's own optimum, where only
@@ -602,6 +552,23 @@ class TestStackedKernel:
 def noisy_charts(gen, n, sigma, epsilon, delta, d):
     cloud = add_gaussian_noise(gen(n, seed=7), NoiseSpec(sigma, 8))
     return build_charts(cloud, epsilon, delta, d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_round_one_charts_factor_at_the_noise_floor(seed):
+    # S_FLOOR's reason: at s = S_FLOOR every round-1 chart stack factors,
+    # at rho across the fit's box, on the clouds whose fits end at or near
+    # the floor: noise-free, every point twice, and a noise-free surface.
+    cassini = gen_cassini(102, seed=seed)
+    noisy = add_gaussian_noise(cassini, NoiseSpec(0.04, seed + 1))
+    twice = PointCloud(np.vstack([noisy.points, noisy.points]))
+    for cloud, epsilon, delta, d in [(cassini, 0.3, 0.6, 1),
+                                     (twice, 0.3, 0.6, 1),
+                                     (gen_torus(300, seed=seed), 0.8, 1.0, 2)]:
+        stack = gp._ChartStack.of_charts(build_charts(cloud, epsilon, delta, d))
+        rho = stack.default_start().rho
+        for k in range(-40, 41, 10):
+            assert np.isfinite(stack.stats(rho * np.exp(k), S_FLOOR).T)
 
 
 def test_net_covers_every_base_whatever_the_order_or_position():

@@ -1,5 +1,5 @@
-"""The README's examples run as written, and its list of public names is
-mrgap's."""
+"""The README's examples run as written, its list of public names is
+mrgap's, and the noise box it states is the fit's."""
 
 import importlib
 import pkgutil
@@ -7,9 +7,11 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 import mrgap
 from mrgap import (NoiseSpec, add_gaussian_noise, cli, estimate_dimension,
-                   gen_cassini)
+                   gen_cassini, gp)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -52,6 +54,14 @@ def test_library_example(capsys):
     (example,) = blocks("python")
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_noise_box_is_the_fits():
+    (box,) = re.findall(r"\[`gp\.S_FLOOR`, 1 / `gp\.S_FLOOR`\] = "
+                        r"\[(\S+), (\S+)\]", README)
+    assert [float(b) for b in box] == [gp.S_FLOOR, 1.0 / gp.S_FLOOR]
+    (sigma,) = re.findall(r"sigma >= (\S+) sqrt\(A\)", README)
+    assert np.isclose(float(sigma) ** 2, gp.S_FLOOR, rtol=1e-12, atol=0.0)
 
 
 def test_public_names():
