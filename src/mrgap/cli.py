@@ -41,10 +41,16 @@ _NUMERICAL = (InsufficientNeighborsError, gp.FactorizationError,
               DimensionEstimateError)
 
 
-# The JSON kind of each config and hyperparameter field of a trace.
-_CONFIG = {"epsilon": "number", "delta": "number", "intrinsic_dim": "integer",
-           "max_iter": "integer"}
-_HYPER = {"A": "number", "rho": "number", "sigma": "number"}
+# Every field of a trace with its JSON kind: a name in _KINDS, a dict of
+# an object's fields, or [kind] for a list of entries of that kind.
+_TRACE = {
+    "schema": "integer",
+    "config": {"epsilon": "number", "delta": "number",
+               "intrinsic_dim": "integer", "max_iter": "integer"},
+    "hypers": [{"A": "number", "rho": "number", "sigma": "number"}],
+    "predictive_variances": ["number"],
+    "clouds": {"shape": "list", "data": "string"},
+}
 
 
 def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
@@ -55,8 +61,9 @@ def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
     pair = np.stack([c.points for c in trace.clouds[-2:]], dtype="<f8")
     return {
         "schema": TRACE_SCHEMA,
-        "config": {k: getattr(config, k) for k in _CONFIG},
-        "hypers": [{k: getattr(h, k) for k in _HYPER} for h in trace.hypers],
+        "config": {k: getattr(config, k) for k in _TRACE["config"]},
+        "hypers": [{k: getattr(h, k) for k in _TRACE["hypers"][0]}
+                   for h in trace.hypers],
         "predictive_variances": list(trace.predictive_variances),
         "clouds": {"shape": list(pair.shape),
                    "data": base64.b64encode(pair.tobytes()).decode("ascii")},
@@ -74,69 +81,61 @@ _KINDS = {
 }
 
 
-def _check(value, kind: str, name: str):
-    if not _KINDS[kind](value):
-        raise ValueError(f"trace: field {name!r} must be of type {kind}")
+def _checked(value, kind, name: str):
+    """value, checked to be of kind (as in _TRACE); an object keeps just
+    the fields kind names."""
+    outer = {dict: "object", list: "list"}.get(type(kind), kind)
+    if not _KINDS[outer](value):
+        raise ValueError(f"field {name!r} must be of type {outer}")
+    if isinstance(kind, list):
+        return [_checked(v, kind[0], f"{name}[{i}]")
+                for i, v in enumerate(value)]
+    if isinstance(kind, dict):
+        where = f"{name}." if name else ""
+        if missing := [key for key in kind if key not in value]:
+            raise ValueError(f"missing field {where + missing[0]!r}")
+        return {key: _checked(value[key], kind[key], where + key)
+                for key in kind}
     return value
 
 
-def _field(obj: dict, key: str, kind: str, where: str = ""):
-    """obj[key], checked to be present and of the given kind."""
-    name = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise ValueError(f"trace: missing field {name!r}")
-    return _check(obj[key], kind, name)
-
-
-def _fields(obj: dict, kinds: dict, where: str) -> dict:
-    """The fields of obj named in kinds, each checked to be of its kind."""
-    return {k: _field(obj, k, kind, where) for k, kind in kinds.items()}
+def _named(name: str, make, /, **fields):
+    """make(**fields), its ValueError prefixed with the field read."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
 
 
 def trace_from_json(doc) -> tuple[DenoiseTrace, DenoiseConfig]:
     """The trace and config of a schema-3 document: its two clouds are the
     clouds[-2] and clouds[-1] of the trace written.  A missing or
     ill-typed field, or a value the library rejects, raises ValueError
-    naming the field."""
-    if not isinstance(doc, dict):
-        raise ValueError("trace: not a JSON object")
-    if doc.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"trace: field 'schema' is {doc.get('schema')!r}, "
-                         f"this version reads schema {TRACE_SCHEMA}; re-run "
-                         f"`mrgap denoise --trace-out` to write a new trace")
+    naming the field, after one 'trace:'."""
     try:
-        config = DenoiseConfig(**_fields(_field(doc, "config", "object"),
-                                         _CONFIG, "config"))
-    except ValueError as exc:
-        raise ValueError(f"trace: field 'config': {exc}") from exc
-    hypers = []
-    for i, h in enumerate(_field(doc, "hypers", "list")):
-        where = f"hypers[{i}]"
-        try:
-            hypers.append(gp.GpHyperParams(
-                **_fields(_check(h, "object", where), _HYPER, where)))
-        except ValueError as exc:
-            raise ValueError(f"trace: field {where!r}: {exc}") from exc
-    variances = _field(doc, "predictive_variances", "list")
-    for i, v in enumerate(variances):
-        _check(v, "number", f"predictive_variances[{i}]")
-    block = _field(doc, "clouds", "object")
-    shape = _field(block, "shape", "list", "clouds")
-    if not (len(shape) == 3 and shape[0] == 2
-            and all(_KINDS["integer"](x) and x > 0 for x in shape)):
-        raise ValueError("trace: field 'clouds.shape' must be [2, n, D], "
-                         "n and D positive integers")
-    data = _field(block, "data", "string", "clouds")
-    try:
-        raw = base64.b64decode(data, validate=True)
-        clouds = [PointCloud(p) for p in
-                  np.frombuffer(raw, dtype="<f8").reshape(shape)]
-    except ValueError as exc:
-        raise ValueError(f"trace: field 'clouds.data': {exc}") from exc
-    try:
-        return DenoiseTrace(clouds, hypers, variances), config
-    except ValueError as exc:
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if doc.get("schema") != TRACE_SCHEMA:
+            raise ValueError(
+                f"field 'schema' is {doc.get('schema')!r}, this version reads "
+                f"schema {TRACE_SCHEMA}; re-run `mrgap denoise --trace-out` "
+                f"to write a new trace")
+        doc = _checked(doc, _TRACE, "")
+        shape, data = doc["clouds"]["shape"], doc["clouds"]["data"]
+        if not (len(shape) == 3 and shape[0] == 2
+                and all(_KINDS["integer"](x) and x > 0 for x in shape)):
+            raise ValueError("field 'clouds.shape' must be [2, n, D], "
+                             "n and D positive integers")
+        config = _named("config", DenoiseConfig, **doc["config"])
+        hypers = [_named(f"hypers[{i}]", gp.GpHyperParams, **h)
+                  for i, h in enumerate(doc["hypers"])]
+        clouds = _named("clouds.data", lambda: [
+            PointCloud(p) for p in np.frombuffer(
+                base64.b64decode(data, validate=True), dtype="<f8"
+            ).reshape(shape)])
         # DenoiseTrace names the field in its message.
+        return DenoiseTrace(clouds, hypers, doc["predictive_variances"]), config
+    except ValueError as exc:
         raise ValueError(f"trace: {exc}") from exc
 
 
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--delta", type=float, required=True)
     d.add_argument("--d", type=int, required=True)
     d.add_argument("--tol", type=float, default=None)
-    d.add_argument("--max-iter", type=int, default=10)
+    d.add_argument("--max-iter", type=int, default=DenoiseConfig.max_iter)
     d.add_argument("--out", required=True)
     d.add_argument("--trace-out", default=None)
     d.set_defaults(func=cmd_denoise)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gp
 from .local_geometry import build_charts, check_radii
-from .point_cloud import PointCloud, _check_count
+from .point_cloud import PointCloud, _check_count, _check_real
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class DenoiseConfig:
 
     def __post_init__(self):
         check_radii(self.epsilon, self.delta)
-        if self.sigma_tol is not None and not 0 <= self.sigma_tol < np.inf:
-            raise ValueError("sigma_tol must be finite and nonnegative")
+        if self.sigma_tol is not None:
+            _check_real(self.sigma_tol, "sigma_tol", "nonnegative")
         _check_count(self.max_iter, "max_iter")
         _check_count(self.intrinsic_dim, "intrinsic_dim")
 

@@ -45,6 +45,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from .local_geometry import ChartRegression
+from .point_cloud import _check_real
 
 # s = sigma^2 / A stays in [S_FLOOR, 1 / S_FLOOR]: sigma >= 1e-5 sqrt(A).
 # Rounding perturbs an N x N unit-diagonal Gram by about N ulps in norm,
@@ -84,10 +85,9 @@ class GpHyperParams:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.A < np.inf or not 0 < self.rho < np.inf:
-            raise ValueError("A and rho must be finite and positive")
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and nonnegative")
+        _check_real(self.A, "A")
+        _check_real(self.rho, "rho")
+        _check_real(self.sigma, "sigma", "nonnegative")
 
 
 def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
@@ -199,7 +199,6 @@ class _ChartStack:
             self.zz += float(np.sum(z ** 2))
         sizes = np.array([w.shape[0] for w, _ in pairs])
         self.N = int(sizes.sum())
-        self.pair_count = int(np.sum(sizes * (sizes - 1) // 2))
         padded = -(-sizes // _BUCKET) * _BUCKET
         self.buckets = []
         for n in np.unique(padded):
@@ -220,15 +219,9 @@ class _ChartStack:
         median squared distance between two predictors of a chart, sigma
         a tenth of the signal scale.  A zero median falls back to the
         largest distance, then to 1, and zero responses to A = rho."""
-        # One buffer, filled bucket by bucket and partitioned in place: a
-        # list of pieces, their concatenation and median's copy, all next
-        # to the stack, raised the torus fit's peak memory by ~1 MB.
-        sq, at = np.empty(self.pair_count), 0
-        for b in self.buckets:
-            i, j = np.triu_indices(b.sq.shape[1], k=1)
-            real = b.real > 0
-            v = b.sq[:, i, j][real[:, i] & real[:, j]]
-            sq[at:at + v.size], at = v, at + v.size
+        sq = np.concatenate([
+            b.sq[np.triu(b.real[:, :, None] * b.real[:, None, :] > 0, 1)]
+            for b in self.buckets])
         rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
         rho = rho or float(sq.max(initial=0.0)) or 1.0
         A = self.zz / (self.q * self.N) or rho
@@ -394,9 +387,7 @@ def fit_hyperparams(
     """
     stack = _ChartStack.of_charts(charts)
     init = init or stack.default_start()
-    init = GpHyperParams(init.A, init.rho,
-                         max(init.sigma, float(np.sqrt(S_FLOOR * init.A))))
-    t0 = np.log([init.rho, init.sigma ** 2 / init.A])
+    t0 = np.log([init.rho, max(init.sigma ** 2 / init.A, S_FLOOR)])
     screen = _Search(_ChartStack.of_charts(_net(charts)), init)
     for t in [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
                      for sign in (-1.0, 1.0)]:

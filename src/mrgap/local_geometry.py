@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .point_cloud import PointCloud
+from .point_cloud import PointCloud, _check_real
 
 
 class InsufficientNeighborsError(ValueError):
@@ -48,8 +48,8 @@ class ChartRegression:
 
 def check_radii(epsilon: float, delta: float) -> None:
     """The rule on the chart radii: 0 < epsilon < delta < inf."""
-    if not 0 < epsilon < np.inf or not 0 < delta < np.inf:
-        raise ValueError("epsilon and delta must be finite and positive")
+    _check_real(epsilon, "epsilon")
+    _check_real(delta, "delta")
     if delta <= epsilon:
         raise ValueError("delta must exceed epsilon")
 

@@ -28,6 +28,16 @@ def _check_count(value, name: str, low: int = 1) -> None:
                          f"got {value!r}")
 
 
+def _check_real(value, name: str, low: str = "positive") -> None:
+    """The rule for every real parameter: a Python or NumPy number, not a
+    bool or a string, finite and positive (low="nonnegative": >= 0)."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and (0 < value if low == "positive" else 0 <= value)
+            and value <= np.finfo(float).max):
+        raise ValueError(f"{name} must be finite and {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """n >= 1 points in R^D stored as an (n, D) array.
@@ -65,9 +75,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(
-                f"sigma must be finite and nonnegative, got {self.sigma}")
+        _check_real(self.sigma, "sigma", "nonnegative")
         _check_count(self.seed, "seed", 0)
 
 

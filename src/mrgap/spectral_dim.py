@@ -16,7 +16,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .point_cloud import PointCloud, _check_count
+from .point_cloud import PointCloud, _check_count, _check_real
 
 # Bound on the entries of the arrays mean_local_eigenvalues builds for one
 # block of points (16 MB of float64).
@@ -53,12 +53,13 @@ class DimensionProfile:
 
 
 def _check_bandwidth(eps: float, name: str) -> None:
-    """The rule for eps_dm and every local-PCA epsilon: finite and positive,
-    with a square that neither underflows to 0 nor overflows, since the
+    """The rule for eps_dm and every local-PCA epsilon: _check_real's, and
+    a square that neither underflows to 0 nor overflows, since the
     kernel divides by eps_dm ** 2.  A product of Python floats, unlike
     eps ** 2 or a product of NumPy scalars, neither raises nor warns."""
+    _check_real(eps, name)
     eps = float(eps)
-    if not (eps > 0 and 0 < eps * eps < np.inf):
+    if not 0 < eps * eps < np.inf:
         raise ValueError(f"{name} must be finite and positive, and its "
                          f"square a nonzero finite float")
 

@@ -386,7 +386,9 @@ class TestInterpolateAndEvaluate:
         bad.write_text(json.dumps(doc))
         assert run(["interpolate", "--trace", bad, "--k", 2,
                     "--out", tmp_path / "o.csv"]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        assert err.count("trace:") == 1, err
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(sigma_history=None),
@@ -406,13 +408,14 @@ class TestInterpolateAndEvaluate:
                         "--seed", 1, "--out", out]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("doc", [[], {"schema": 2}])
+    @pytest.mark.parametrize("doc", [[], {"schema": 2}, {"schema": 3}])
     def test_trace_without_fields_is_input_error(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run(["interpolate", "--trace", bad, "--k", 2,
                     "--out", tmp_path / "o.csv"]) == 2
-        assert "error: trace:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace:") and err.count("trace:") == 1
 
 
 class TestEstimateDim:

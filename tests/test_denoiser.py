@@ -243,7 +243,10 @@ class TestDenoise:
         # coordinates, rho and s = sigma^2 / A are those of the unpadded
         # run, within the bounds of test_translation_equivariance (seeds 0-3
         # reach 5.4e-10 denoised, 2.1e-8 interpolated and 7.8e-7 relative).
-        # How A and sigma scale with k is left open.
+        # A* = T / (qN) spreads the same residual energy over q + k normal
+        # directions, q = 2, so A, sigma^2 and every predictive variance
+        # scale by q / (q + k): seeds 1 and 3 reach 2e-13, 1.5e-13 and
+        # 6.3e-12 relative.
         (trace_a, dense_a), (trace_b, dense_b) = (padded_run(seed, 0),
                                                   padded_run(seed, k))
         assert trace_a.rounds == trace_b.rounds == 2
@@ -252,10 +255,17 @@ class TestDenoise:
             assert not np.any(b.points[:, 3:])
             np.testing.assert_allclose(b.points[:, :3], a.points, rtol=0,
                                        atol=1e-7)
+        shrink = 2 / (2 + k)
         for ha, hb in zip(trace_a.hypers, trace_b.hypers):
             np.testing.assert_allclose([hb.rho, hb.sigma ** 2 / hb.A],
                                        [ha.rho, ha.sigma ** 2 / ha.A],
                                        rtol=5e-6)
+            np.testing.assert_allclose([hb.A, hb.sigma ** 2],
+                                       [shrink * ha.A, shrink * ha.sigma ** 2],
+                                       rtol=1e-9)
+        np.testing.assert_allclose(trace_b.predictive_variances,
+                                   shrink * np.array(trace_a.predictive_variances),
+                                   rtol=1e-9)
 
     @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
     def test_scale_equivariance_at_extreme_scales(self, c):

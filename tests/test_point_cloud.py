@@ -20,6 +20,7 @@ from mrgap.denoiser import DenoiseConfig, DenoiseTrace
 from mrgap.evaluation import grmse
 from mrgap.gp import GpHyperParams
 from mrgap.interpolator import interpolate
+from mrgap.local_geometry import build_charts
 from mrgap.spectral_dim import estimate_dimension
 
 
@@ -78,6 +79,32 @@ def test_counts_must_be_integers(name, call):
 def test_seed_is_a_nonnegative_integer(call, seed):
     with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
         call(seed)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.3"],
+                         ids=["bool", "numpy-bool", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("sigma", lambda v: NoiseSpec(sigma=v)),
+    ("epsilon", lambda v: DenoiseConfig(epsilon=v, delta=0.6,
+                                        intrinsic_dim=1)),
+    ("delta", lambda v: DenoiseConfig(epsilon=0.3, delta=v, intrinsic_dim=1)),
+    ("sigma_tol", lambda v: DenoiseConfig(**_CONFIG, sigma_tol=v)),
+    ("A", lambda v: GpHyperParams(A=v, rho=1.0, sigma=0.1)),
+    ("rho", lambda v: GpHyperParams(A=1.0, rho=v, sigma=0.1)),
+    ("sigma", lambda v: GpHyperParams(A=1.0, rho=1.0, sigma=v)),
+    ("epsilon", lambda v: build_charts(_CLOUD, v, 2.0, 1)),
+    ("delta", lambda v: build_charts(_CLOUD, 0.5, v, 1)),
+    ("eps_dm", lambda v: estimate_dimension(_CLOUD, v, embed_dims=[3])),
+    ("epsilon", lambda v: estimate_dimension(_CLOUD, 2.0, embed_dims=[3],
+                                             eps_grid=[v])),
+], ids=["noise-sigma", "config-epsilon", "config-delta", "config-sigma_tol",
+        "hyper-A", "hyper-rho", "hyper-sigma", "charts-epsilon",
+        "charts-delta", "eps_dm", "eps_grid-entry"])
+def test_reals_must_be_numbers(name, call, value):
+    # float() takes a bool or a numeric string; the rule for real
+    # parameters takes neither, as _check_count takes no bool as a count.
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        call(value)
 
 
 def test_cloud_is_immutable():
