@@ -14,16 +14,13 @@ import numpy as np
 from scipy.linalg.blas import dspmv
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist
 
 from .point_cloud import PointCloud, _check_count, _check_real
 
 # Bound on the entries of the arrays mean_local_eigenvalues builds for one
-# block of points (16 MB of float64).
+# block of points (16 MB of float64), its list of ball pairs aside.
 _BLOCK_ENTRIES = 2 ** 21
-# Bound on the distances diffusion_embedding computes for one block of
-# kernel rows (1 MB of float64).
-_KERNEL_BLOCK = 2 ** 17
 
 
 class DimensionEstimateError(RuntimeError):
@@ -101,16 +98,15 @@ def diffusion_embedding(
             f"the cloud has {distinct} distinct points, fewer than the "
             f"{k} diffusion eigenpairs asked for"
         )
-    # Squared distances first, a block of rows at a time; row i of the
-    # upper triangle starts at entry i n - i (i - 1) / 2.
+    # pdist puts row i's n - 1 - i distances that many entries past their
+    # place after its diagonal entry d; moved in row order, none overlaps.
     K = np.empty(size)
-    a = 0
-    while a < n:
-        b = min(n, a + max(1, _KERNEL_BLOCK // (n - a)))
-        d2 = cdist(pts[a:b], pts[a:], "sqeuclidean")
-        K[a * n - a * (a - 1) // 2 : b * n - b * (b - 1) // 2] = d2[
-            np.arange(n - a) >= np.arange(b - a)[:, None]]
-        a = b
+    pdist(pts, "sqeuclidean", out=K[n:])
+    d = 0
+    for m in range(n - 1, -1, -1):
+        K[d] = 0.0
+        K[d + 1 : d + 1 + m] = K[d + 1 + m : d + 1 + 2 * m]
+        d += 1 + m
     np.negative(K, out=K)
     K /= eps_dm ** 2
     np.exp(K, out=K)
@@ -148,32 +144,36 @@ def mean_local_eigenvalues(cloud: PointCloud, epsilon: float) -> np.ndarray:
     """Descending local-covariance eigenvalues averaged over all points.
 
     The local covariance at y_k is (1/n) sum (y_i - y_k)(y_i - y_k)^T over
-    the closed epsilon-ball, with the full sample size n as divisor.  A k-d
-    tree finds the candidates of a block of points at a time, which keeps
-    memory bounded when the balls cover the whole cloud; each candidate is
-    then tested by the exact distance.  estimate_dimension checks epsilon.
+    the closed epsilon-ball, with the full sample size n as divisor.  One
+    k-d tree query lists the candidate pairs as sorted int64 keys, 16 bytes
+    a pair (32 while they are built); the exact distance tests them a block
+    of points at a time, in arrays of at most _BLOCK_ENTRIES entries each,
+    however many points a ball holds.  estimate_dimension checks epsilon.
     """
     pts = cloud.points
     n, D = pts.shape
-    tree = cKDTree(pts)
-    # The slack keeps every point the exact test accepts, whatever rounding
-    # the tree's own distances have.
-    radius = epsilon * (1.0 + 1e-9)
+    # Despite tree rounding, the slack keeps every pair the exact test accepts.
+    pairs = cKDTree(pts).query_pairs(epsilon * (1.0 + 1e-9),
+                                     output_type="ndarray")
+    # Keys i n + j, each pair in both orders and each point with itself:
+    # sorted, they list the balls in point order, members ascending.
+    keys = np.empty(n + 2 * len(pairs), dtype=np.int64)
+    keys[:n] = np.arange(n) * (n + 1)
+    np.matmul(pairs, [[n, 1], [1, n]], out=keys[n:].reshape(-1, 2))
+    del pairs
+    keys.sort()
     acc = np.zeros(D)
-    # A ball holds at most n points, so a block's arrays of displacements
-    # hold at most _BLOCK_ENTRIES entries.
-    size = max(1, _BLOCK_ENTRIES // (n * D))
-    for start in range(0, n, size):
-        block = np.arange(start, min(start + size, n))
-        cand = tree.query_ball_point(pts[block], radius)
-        rows = np.repeat(np.arange(len(block)), [len(c) for c in cand])
-        diff = pts[np.concatenate(cand)] - pts[block[rows]]
+    size = max(1, _BLOCK_ENTRIES // (n * D))  # a ball holds <= n points
+    cuts = np.searchsorted(keys, np.arange(0, n + size, size) * n)
+    for start, lo, hi in zip(range(0, n, size), cuts, cuts[1:]):
+        rows, members = np.divmod(keys[lo:hi], n)
+        diff = pts[members] - pts[rows]
         keep = np.linalg.norm(diff, axis=1) <= epsilon
-        rows, diff = rows[keep], diff[keep]
+        rows, diff = rows[keep] - start, diff[keep]
         # The ball members of each point, zero-padded to one stack.
-        counts = np.bincount(rows, minlength=len(block))
+        counts = np.bincount(rows, minlength=min(size, n - start))
         slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        X = np.zeros((len(block), counts.max(), D))
+        X = np.zeros((len(counts), counts.max(), D))
         X[rows, slot] = diff
         C = np.matmul(X.transpose(0, 2, 1), X) / n
         acc += np.clip(np.linalg.eigvalsh(C)[:, ::-1], 0.0, None).sum(axis=0)

@@ -86,27 +86,27 @@ class TestDiffusionEmbedding:
         b = diffusion_embedding(PointCloud(cloud.points.copy()), 0.6, 3)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
-    @pytest.mark.parametrize("case", ["ring", "ellipsoid", "one_row_blocks",
-                                      "eight_points", "seven_points"])
-    def test_matches_dense_oracle(self, case, monkeypatch):
+    SMALL = {"seven_points": 7, "eight_points": 8, "nine_points": 9,
+             "ten_points": 10, "eleven_points": 11, "twelve_points": 12}
+
+    @pytest.mark.parametrize("case", ["ring", "ellipsoid", *SMALL])
+    def test_matches_dense_oracle(self, case):
         # Lanczos pairs against the full eigendecomposition of the
-        # detailed-balance symmetrization.  The ellipsoid's 800 points fill
-        # the packed kernel in four row blocks of at most 2^17 entries, the
-        # last one partial (129 of 1016 rows); with 100-entry blocks the
-        # ring's first 20 blocks hold one row each.  Eight points are the
-        # fewest Lanczos iteration takes for 7 pairs; seven points ask for
-        # all 7 pairs, more than Lanczos iteration delivers.
-        if case in ("ring", "one_row_blocks"):
+        # detailed-balance symmetrization.  Eight points are the fewest
+        # Lanczos iteration takes for 7 pairs; seven points ask for all 7
+        # pairs, more than Lanczos iteration delivers.  In clouds of 7 to 12
+        # points every packed kernel row is moved into place from the
+        # pairwise distances, so a row moved one entry short or to the
+        # wrong place shifts a kernel entry that every pair depends on.
+        if case == "ring":
             cloud, eps = noisy_ring(120, seed=2), 0.5
         elif case == "ellipsoid":
             clean = gen_ellipsoid_embedded(800, 30, 0)
             cloud, eps = add_gaussian_noise(clean, NoiseSpec(0.05, 100)), 2.0
         else:
-            n = 8 if case == "eight_points" else 7
+            n = self.SMALL[case]
             cloud = PointCloud(np.random.default_rng(0).normal(size=(n, 3)))
             eps = 1.0
-        if case == "one_row_blocks":
-            monkeypatch.setattr(spectral_dim, "_KERNEL_BLOCK", 100)
         spec = diffusion_embedding(cloud, eps, 6)
         mu, V = oracles.diffusion_embedding(
             oracles.graph_laplacian(cloud, eps), 6)
@@ -141,10 +141,10 @@ class TestDiffusionEmbedding:
                                                           monkeypatch):
         # 65536 points have 2^31 + 2^15 packed kernel entries; the check
         # comes before any of them is computed
-        def cdist(*args):
+        def pdist(*args, **kwargs):
             raise AssertionError("the kernel build started")
 
-        monkeypatch.setattr(spectral_dim, "cdist", cdist)
+        monkeypatch.setattr(spectral_dim, "pdist", pdist)
         cloud = PointCloud(np.arange(65536.0)[:, None])
         with pytest.raises(ValueError, match="2\\^31"):
             diffusion_embedding(cloud, 1.0, 6)
@@ -178,6 +178,40 @@ class TestMeanLocalEigenvalues:
         lam = mean_local_eigenvalues(noisy, 2.0)
         np.testing.assert_allclose(
             lam, oracles.mean_local_eigenvalues(noisy, 2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["triplicates", "far_point",
+                                      "one_point_blocks"])
+    def test_pair_edge_cases(self, case, monkeypatch):
+        # Pairs at distance 0, a ball of one point, and one-point blocks
+        # whose every edge is a cut in the sorted pair keys; at epsilon 100
+        # every ball holds the whole cloud.
+        cloud = noisy_ring(40, seed=9)
+        if case == "triplicates":
+            cloud = PointCloud(np.repeat(cloud.points, 3, axis=0))
+        elif case == "far_point":
+            cloud = PointCloud(np.vstack([cloud.points, [[30.0, 40.0]]]))
+        else:
+            monkeypatch.setattr(spectral_dim, "_BLOCK_ENTRIES", 8)
+        for eps in (0.3, 1.0, 100.0):
+            np.testing.assert_allclose(
+                mean_local_eigenvalues(cloud, eps),
+                oracles.mean_local_eigenvalues(cloud, eps), atol=1e-12)
+
+    def test_peak_memory_is_the_pair_keys_and_a_few_blocks(self, monkeypatch):
+        # Every pair is in a ball: the sorted keys take 8 (n + 2 pairs)
+        # bytes, and the arrays of one block of points a few times
+        # _BLOCK_ENTRIES float64.  The tree's own list of pairs is not
+        # allocated through Python, so tracemalloc does not count it.
+        monkeypatch.setattr(spectral_dim, "_BLOCK_ENTRIES", 2 ** 16)
+        n = 2000
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            mean_local_eigenvalues(cloud, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n + n * (n - 1)) + 6 * 8 * 2 ** 16
 
     def test_flat_plane_trailing_eigenvalue_vanishes(self):
         rng = np.random.default_rng(7)
