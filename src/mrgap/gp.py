@@ -58,10 +58,10 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _LOG_SPAN = 40.0
 # exp(_EXP_MIN) is half an ulp of 1; smaller kernel entries are set to 0.
 _EXP_MIN = np.log(0.5 * np.finfo(float).eps)
-# Charts are padded to a multiple of _BUCKET rows, grouping them into
-# stacks of at most _STACK_ELEMS entries per matrix array: one stack per
-# size measured ~30% slower per torus evaluation, likely from page faults.
-_BUCKET = 8
+# Charts of one size are stacked at most _STACK_ELEMS entries per matrix
+# array.  On gen_torus(5000) with noise 0.12 (epsilon 0.4, delta 0.5) one
+# stack per size took a median 700 ms per stats call against 597 ms, and
+# its temporaries peaked at 45.6 MB against 1.8 MB.
 _STACK_ELEMS = 2 ** 15
 # The fit's Newton finish: the forward-difference step of its Hessian in
 # (log rho, log s), the rise in f (relative to 1 + |f|) it takes for
@@ -161,36 +161,13 @@ class _Stats(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
-class _Bucket:
-    """Charts of one padded size n.  Padding rows carry an identity block
-    of M and zero responses, so they add nothing to any statistic."""
-
-    sq: np.ndarray  # (B, n, n) squared predictor distances, inf in padding
-    real: np.ndarray  # (B, n) 1 on real rows, 0 on padding
-    R: np.ndarray  # (B, n, r) with R R^T = Z Z^T, 0 in padding
-
-    @classmethod
-    def of(cls, n: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> "_Bucket":
-        width = pairs[0][1].shape[1]
-        sq = np.full((len(pairs), n, n), np.inf)
-        real = np.zeros((len(pairs), n))
-        R = np.zeros((len(pairs), n, min(width, n)))
-        for b, (w, z) in enumerate(pairs):
-            m = w.shape[0]
-            sq[b, :m, :m] = cdist(w, w, "sqeuclidean")
-            real[b, :m] = 1.0
-            r = np.linalg.qr(z.T, mode="r").T  # r r^T = z z^T
-            R[b, :m, : r.shape[1]] = r
-        return cls(sq, real, R)
-
-
 class _ChartStack:
     """The charts of a joint fit, each holding at least its base's row,
-    grouped by size rounded up to a multiple of _BUCKET, each size split
-    into stacks of at most _STACK_ELEMS entries per matrix array.  q is
-    the count of response dimensions: a chart's codim, not the D columns
-    of its residuals."""
+    grouped by size n, each size split into stacks of at most
+    _STACK_ELEMS entries per matrix array.  A stack is a pair (sq, R): the
+    (B, n, n) squared predictor distances of its B charts and a (B, n, r)
+    R with R R^T = Z Z^T.  q is the count of response dimensions: a
+    chart's codim, not the D columns of its residuals."""
 
     def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], q: int):
         self.q = q
@@ -199,15 +176,16 @@ class _ChartStack:
             self.zz += float(np.sum(z ** 2))
         sizes = np.array([w.shape[0] for w, _ in pairs])
         self.N = int(sizes.sum())
-        padded = -(-sizes // _BUCKET) * _BUCKET
-        self.buckets = []
-        for n in np.unique(padded):
-            same = np.flatnonzero(padded == n)
+        self.stacks = []
+        for n in np.unique(sizes):
+            same = np.flatnonzero(sizes == n)
             per_stack = max(1, _STACK_ELEMS // (n * n))
             for start in range(0, len(same), per_stack):
-                self.buckets.append(
-                    _Bucket.of(n, [pairs[i] for i in same[start:start + per_stack]])
-                )
+                group = [pairs[i] for i in same[start:start + per_stack]]
+                self.stacks.append((
+                    np.stack([cdist(w, w, "sqeuclidean") for w, _ in group]),
+                    np.stack([np.linalg.qr(z.T, mode="r").T for _, z in group]),
+                ))
 
     @classmethod
     def of_charts(cls, charts: list[ChartRegression]) -> "_ChartStack":
@@ -220,8 +198,8 @@ class _ChartStack:
         a tenth of the signal scale.  A zero median falls back to the
         largest distance, then to 1, and zero responses to A = rho."""
         sq = np.concatenate([
-            b.sq[np.triu(b.real[:, :, None] * b.real[:, None, :] > 0, 1)]
-            for b in self.buckets])
+            d.transpose(1, 2, 0)[np.triu_indices(d.shape[1], 1)].ravel()
+            for d, _ in self.stacks])
         rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
         rho = rho or float(sq.max(initial=0.0)) or 1.0
         A = self.zz / (self.q * self.N) or rho
@@ -231,23 +209,23 @@ class _ChartStack:
         T = logdet = 0.0
         U = np.zeros(2)
         V = np.zeros(2)
-        for b in self.buckets:
-            # Kernel entries below half an ulp of the unit diagonal, and the
-            # padding, are set to 0: subnormal results would slow exp and
-            # every product after it several times over.
-            G = b.sq * (-1.0 / rho)
+        for sq, R in self.stacks:
+            # Kernel entries below half an ulp of the unit diagonal are set
+            # to 0: subnormal results would slow exp and every product after
+            # it several times over.
+            G = sq * (-1.0 / rho)
             np.maximum(G, _EXP_MIN, out=G)
             M = np.exp(G)
             M *= G > _EXP_MIN
             G *= M
             G *= -1.0  # dM/dlog rho
-            np.einsum("bii->bi", M)[...] += s * b.real + (1.0 - b.real)
+            np.einsum("bii->bi", M)[...] += s
             # M^-1 = L^-T L^-1, each stacked factor L inverted by dtrtri.
             try:
                 L = np.linalg.cholesky(M)
             except np.linalg.LinAlgError as exc:
                 raise FactorizationError(
-                    f"Cholesky failed in a stack of {b.sq.shape[1]}-row charts"
+                    f"Cholesky failed in a stack of {sq.shape[1]}-row charts"
                 ) from exc
             logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
             Linv = np.empty_like(L)
@@ -256,10 +234,10 @@ class _ChartStack:
                 if info:
                     raise FactorizationError(f"dtrtri failed with info {info}")
             Minv = np.matmul(Linv.transpose(0, 2, 1), Linv)
-            alpha = Minv @ b.R
-            T += _inner(b.R, alpha)
+            alpha = Minv @ R
+            T += _inner(R, alpha)
             U += (_inner(G @ alpha, alpha), _inner(alpha, alpha))
-            V += (_inner(G, Minv), _inner(np.einsum("bii->bi", Minv), b.real))
+            V += (_inner(G, Minv), float(np.einsum("bii->", Minv)))
         return _Stats(T, logdet, U, V, s, self.N, self.q)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
@@ -387,10 +389,26 @@ class TestJointAndFit:
 
 
 def mixed_charts(seed):
-    """Charts of sizes 1 to 20 across several padded sizes."""
+    """Charts of six sizes from 1 to 20 rows."""
     rng = np.random.default_rng(seed)
     return [make_chart(rng.normal(size=(N, 2)), rng.normal(size=(N, 2)))
             for N in (1, 3, 8, 9, 17, 20)]
+
+
+def same_size_charts(seed, count):
+    """count charts of 40 rows; a stack holds at most 20 of them."""
+    rng = np.random.default_rng(seed)
+    return [make_chart(rng.normal(size=(40, 2)), rng.normal(size=(40, 2)))
+            for _ in range(count)]
+
+
+def stacked_charts():
+    """mixed_charts, a 46-row chart like the largest torus charts, and 25
+    charts of 40 rows, more than one stack holds."""
+    rng = np.random.default_rng(24)
+    return mixed_charts(20) + [
+        make_chart(rng.normal(size=(46, 2)), rng.normal(size=(46, 2)))
+    ] + same_size_charts(25, 25)
 
 
 def hyper_from(theta):
@@ -406,14 +424,11 @@ def dense_joint(charts, hyper):
 
 class TestStackedKernel:
     def test_value_and_gradient_match_dense_oracle(self):
-        # mixed_charts stop at 20 rows; torus charts reach 46 (bucket 48).
-        rng = np.random.default_rng(24)
-        charts = mixed_charts(20) + [
-            make_chart(rng.normal(size=(46, 2)), rng.normal(size=(46, 2)))]
+        charts = stacked_charts()
         theta = np.log([1.3, 0.7, 0.2 ** 2 / 1.3])
         hyper = hyper_from(theta)
         stack = gp._ChartStack.of_charts(charts)
-        assert len(stack.buckets) >= 3
+        assert [sq.shape[1] for sq, _ in stack.stacks].count(40) == 2
         value, grad = gp._value_grad(
             stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
         np.testing.assert_allclose(value, dense_joint(charts, hyper),
@@ -429,6 +444,29 @@ class TestStackedKernel:
             fd[i] = (dense_joint(charts, hyper_from(tp))
                      - dense_joint(charts, hyper_from(tm))) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+
+    def test_stacks_hold_charts_of_one_exact_size(self):
+        charts = stacked_charts()
+        stack = gp._ChartStack.of_charts(charts)
+        rows = 0
+        for sq, R in stack.stacks:
+            B, n = sq.shape[:2]
+            assert sq.shape == (B, n, n)
+            assert R.ndim == 3 and R.shape[:2] == (B, n)
+            assert B * n * n <= max(gp._STACK_ELEMS, n * n)
+            rows += B * n
+        assert rows == stack.N == sum(c.predictors.shape[0] for c in charts)
+
+    def test_stats_temporaries_stay_small(self):
+        # Stacks of 20 charts peak at 1.8 MB; one stack of all 400 at 26.6 MB.
+        stack = gp._ChartStack.of_charts(same_size_charts(26, 400))
+        tracemalloc.start()
+        try:
+            stack.stats(0.7, 0.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_profiled_signal_variance_is_stationary(self):
         # A* = sum tr(Z^T (K0 + sI)^-1 Z) / (q sum N), from dense matrices.
