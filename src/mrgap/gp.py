@@ -41,7 +41,6 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dtrtri
-from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from .local_geometry import ChartRegression
@@ -70,6 +69,19 @@ _PROBE = 1e-6
 _ROUNDING = 1e-13
 _NEWTON_TOL = 1e-9
 _NEWTON_STEPS = 10
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on its first call.
+
+    Importing scipy.optimize costs ~0.1 s and ~9 MB, which only a process
+    that fits should pay: the dimension estimate, generate, interpolate
+    and evaluate never reach it.  The fit calls it through this
+    module-level name, so that is also where a tracer or a test spy
+    replaces it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **options)
 
 
 class FactorizationError(RuntimeError):

@@ -40,7 +40,7 @@ def _check_real(value, name: str, low: str = "positive") -> None:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n >= 1 points in R^D stored as an (n, D) array.
+    """n >= 1 points in R^D, D >= 1, stored as an (n, D) array.
 
     The array is made read-only on construction; clouds can be shared
     freely across threads.
@@ -50,8 +50,9 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or not pts.shape[0]:
-            raise ValueError(f"points must be (n, D), n >= 1, got {pts.shape}")
+        if pts.ndim != 2 or not pts.size:
+            raise ValueError(
+                f"points must be (n, D), n >= 1, D >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
         pts = pts.copy()

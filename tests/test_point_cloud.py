@@ -24,10 +24,10 @@ from mrgap.local_geometry import build_charts
 from mrgap.spectral_dim import estimate_dimension
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (0, 3)],
-                         ids=["1-d", "3-d", "empty"])
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (0, 3), (3, 0)],
+                         ids=["1-d", "3-d", "empty", "no-coordinates"])
 def test_cloud_is_a_nonempty_2d_array(shape):
-    with pytest.raises(ValueError, match=r"\(n, D\), n >= 1"):
+    with pytest.raises(ValueError, match=r"\(n, D\), n >= 1, D >= 1"):
         PointCloud(np.zeros(shape))
 
 
