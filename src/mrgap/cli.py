@@ -53,6 +53,13 @@ _TRACE = {
 }
 
 
+def _fields(obj, kinds: dict) -> dict:
+    """obj's fields named in kinds, each as the Python float or int its
+    kind names: json cannot write the NumPy scalars the library takes."""
+    python = {"number": float, "integer": int}
+    return {k: python[kind](getattr(obj, k)) for k, kind in kinds.items()}
+
+
 def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
     """The trace document: the config, every round's fitted
     hyperparameters, the last round's variances, and clouds[-2] (which
@@ -61,10 +68,9 @@ def trace_to_json(trace: DenoiseTrace, config: DenoiseConfig) -> dict:
     pair = np.stack([c.points for c in trace.clouds[-2:]], dtype="<f8")
     return {
         "schema": TRACE_SCHEMA,
-        "config": {k: getattr(config, k) for k in _TRACE["config"]},
-        "hypers": [{k: getattr(h, k) for k in _TRACE["hypers"][0]}
-                   for h in trace.hypers],
-        "predictive_variances": list(trace.predictive_variances),
+        "config": _fields(config, _TRACE["config"]),
+        "hypers": [_fields(h, _TRACE["hypers"][0]) for h in trace.hypers],
+        "predictive_variances": [float(v) for v in trace.predictive_variances],
         "clouds": {"shape": list(pair.shape),
                    "data": base64.b64encode(pair.tobytes()).decode("ascii")},
     }

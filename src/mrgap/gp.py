@@ -100,16 +100,15 @@ class GpHyperParams:
         _check_real(self.A, "A")
         _check_real(self.rho, "rho")
         _check_real(self.sigma, "sigma", "nonnegative")
+        if self.s == np.inf:
+            raise ValueError(f"sigma^2 / A must be finite, got sigma={self.sigma!r}")
 
-
-def _cross_gram(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
-    """A exp(-||a_i - b_j||^2 / rho), built in place in one buffer."""
-    K = cdist(a, b, "sqeuclidean")
-    np.negative(K, out=K)
-    K /= hyper.rho
-    np.exp(K, out=K)
-    K *= hyper.A
-    return K
+    @property
+    def s(self) -> float:
+        """max(sigma^2 / A, S_FLOOR): the noise added to the unit Gram K0.
+        Python floats overflow to inf where sigma ** 2 would raise."""
+        sigma = float(self.sigma)
+        return max(sigma * sigma / float(self.A), S_FLOOR)
 
 
 def _inner(X: np.ndarray, Y: np.ndarray) -> float:
@@ -128,32 +127,32 @@ def predictive(
     test_u: np.ndarray,
     hyper: GpHyperParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean (m, q) and variance (m,), GPML eqs. 2.25-2.26.
-
-    The noise variance is at least S_FLOOR * A, so that sigma = 0 works:
-    with repeated predictors the posterior is that of the distinct ones.
-    """
-    K = _cross_gram(train_w, train_w, hyper)
-    K[np.diag_indices_from(K)] += max(hyper.sigma ** 2, S_FLOOR * hyper.A)
+    """Posterior mean (m, q) and variance (m,), GPML eqs. 2.25-2.26, for
+    K = A (K0 + s I), s = hyper.s: with sigma = 0 and repeated predictors
+    it is the posterior of the distinct ones."""
+    N = len(train_w)
+    # Rows :N of the unit kernel block are K0, rows N: the cross kernel k.
+    K = cdist(np.vstack([train_w, test_u]), train_w, "sqeuclidean")
+    K *= -1.0 / hyper.rho
+    np.exp(K, out=K)
+    M, k = K[:N], K[N:]
+    M[np.diag_indices(N)] += hyper.s
     try:
-        # K is symmetric: K.T is K in the column-major order LAPACK
-        # factors in place.
-        L = cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
+        # M is symmetric: M.T is M in the column order LAPACK factors in place.
+        L = cholesky(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        n = len(K)
-        raise FactorizationError(f"Cholesky failed for {n}x{n} system") from exc
-    s3 = _cross_gram(test_u, train_w, hyper)
-    # The solves take the m columns of s3^T, never the q of the responses,
-    # which may be hundreds: mean = W^T z with W = K^-1 s3^T, and
-    # variance = A - colsum(V o V) with V = L^-1 s3^T.  The factorization,
-    # solves and product are SciPy's: NumPy and SciPy each bring their own
-    # threaded BLAS, and alternating between the two made each call several
-    # times slower on two cores.  train_z.T and W are Fortran-ordered, so
-    # dgemm copies neither.
-    V = solve_triangular(L, s3.T, lower=True, check_finite=False)
+        raise FactorizationError(f"Cholesky failed for {N}x{N} system") from exc
+    # The solves take the m columns of k^T, never the q of the responses,
+    # which may be hundreds: mean = Z^T W with W = M^-1 k^T, and
+    # variance = A (1 - colsum(V o V)) with V = L^-1 k^T.  The
+    # factorization, solves and product are SciPy's: NumPy and SciPy each
+    # bring their own threaded BLAS, and alternating between the two made
+    # each call several times slower on two cores.  train_z.T and W are
+    # Fortran-ordered, so dgemm copies neither.
+    V = solve_triangular(L, k.T, lower=True, check_finite=False)
     W = solve_triangular(L, V, lower=True, trans="T", check_finite=False)
     mean = dgemm(1.0, train_z.T, W).T
-    variance = np.clip(hyper.A - np.einsum("ij,ij->j", V, V), 0.0, None)
+    variance = hyper.A * np.clip(1.0 - np.einsum("ij,ij->j", V, V), 0.0, None)
     return mean, variance
 
 
@@ -377,7 +376,7 @@ def fit_hyperparams(
     """
     stack = _ChartStack.of_charts(charts)
     init = init or stack.default_start()
-    t0 = np.log([init.rho, max(init.sigma ** 2 / init.A, S_FLOOR)])
+    t0 = np.log([init.rho, init.s])
     screen = _Search(_ChartStack.of_charts(_net(charts)), init)
     for t in [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
                      for sign in (-1.0, 1.0)]:

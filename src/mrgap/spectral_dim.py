@@ -221,7 +221,7 @@ def estimate_dimension(
     """
     if embed_dims is None:
         embed_dims = [3, 4, 5, 6]
-    if not embed_dims:
+    if len(embed_dims) == 0:
         raise ValueError("embed_dims is empty")
     for m in embed_dims:
         # A spectrum needs a second eigenvalue to have a gap.
@@ -229,9 +229,9 @@ def estimate_dimension(
         if m >= cloud.n:
             raise ValueError(f"each embed_dims entry must be < n = {cloud.n} "
                              f"points, got {m}")
-    if eps_grid is not None and not eps_grid:
+    if eps_grid is not None and len(eps_grid) == 0:
         raise ValueError("eps_grid is empty")
-    for eps in eps_grid or ():
+    for eps in () if eps_grid is None else eps_grid:
         _check_bandwidth(eps, "epsilon")
     spec = diffusion_embedding(cloud, eps_dm, max(embed_dims))
     scale = np.sqrt(cloud.n)

@@ -212,6 +212,23 @@ class TestDenoise:
         assert back.predictive_variances == trace.predictive_variances
         assert back_config == config
 
+    def test_numpy_scalars_round_trip(self):
+        # The library takes NumPy ints and floats; the trace is written
+        # with the Python int or float of each field's kind.
+        rng = np.random.default_rng(2)
+        clouds = [PointCloud(rng.normal(size=(3, 2))) for _ in range(2)]
+        f32, i64 = np.float32, np.int64
+        config = DenoiseConfig(epsilon=f32(0.25), delta=f32(0.5),
+                               intrinsic_dim=i64(1), max_iter=i64(2))
+        trace = DenoiseTrace(clouds, [GpHyperParams(f32(1.5), f32(0.5),
+                                                    f32(0.125))],
+                             [f32(0.75), f32(0.5), f32(0.0)])
+        back, back_config = cli.trace_from_json(
+            json.loads(json.dumps(cli.trace_to_json(trace, config))))
+        assert back_config == DenoiseConfig(0.25, 0.5, 1, max_iter=2)
+        assert back.hypers == [GpHyperParams(1.5, 0.5, 0.125)]
+        assert back.predictive_variances == [0.75, 0.5, 0.0]
+
     def test_missing_input(self, tmp_path):
         assert run(["denoise", "--in", tmp_path / "nope.csv",
                     "--epsilon", 0.3, "--delta", 0.6, "--d", 1,
@@ -350,6 +367,7 @@ class TestInterpolateAndEvaluate:
         ("hypers", lambda doc: doc.update(hypers=[])),
         ("hypers[1].rho", lambda doc: doc["hypers"][1].pop("rho")),
         ("hypers[0]", lambda doc: doc["hypers"][0].update(A=-1.0)),
+        ("hypers[1]", lambda doc: doc["hypers"][1].update(sigma=1e160)),
         ("predictive_variances[3]",
          lambda doc: doc["predictive_variances"].__setitem__(3, "x")),
         ("predictive_variances",

@@ -36,7 +36,7 @@ HYPER = GpHyperParams(A=1.3, rho=0.7, sigma=0.2)
 
 
 def gram(points, hyper):
-    return gp._cross_gram(points, points, hyper)
+    return np.array([[kernel(a, b, hyper) for b in points] for a in points])
 
 
 def make_chart(w, z, Q=None):
@@ -76,8 +76,7 @@ def random_instance(rng, N, m, d=2, q=2):
 def conditioning_oracle(w, z, u, hyper):
     """Brute-force joint-Gaussian conditioning on the full (N+m) Gram."""
     N = w.shape[0]
-    allp = np.vstack([w, u])
-    full = np.array([[kernel(a, b, hyper) for b in allp] for a in allp])
+    full = gram(np.vstack([w, u]), hyper)
     s1 = full[:N, :N] + hyper.sigma ** 2 * np.eye(N)
     s2 = full[:N, N:]
     s3 = full[N:, :N]
@@ -106,22 +105,6 @@ class TestKernel:
             kernel(np.zeros(2), np.zeros(3), HYPER)
 
 
-class TestGram:
-    def test_single_point(self):
-        G = gram(np.zeros((1, 2)), HYPER)
-        np.testing.assert_allclose(G, [[HYPER.A]])
-
-    def test_coincident_points(self):
-        G = gram(np.zeros((2, 3)), HYPER)
-        np.testing.assert_allclose(G, HYPER.A * np.ones((2, 2)))
-
-    def test_psd_spot_check(self):
-        rng = np.random.default_rng(1)
-        G = gram(rng.normal(size=(50, 2)), HYPER)
-        assert np.min(np.linalg.eigvalsh(G)) >= -1e-8
-        np.testing.assert_allclose(np.diag(G), HYPER.A)
-
-
 class TestPredictive:
     def test_noise_free_interpolation(self):
         hyper = GpHyperParams(A=1.0, rho=0.5, sigma=0.0)
@@ -144,13 +127,18 @@ class TestPredictive:
         (4, 60, 1), (30, 40, 3),  # m >> q
     ])
     def test_wide_responses_match_conditioning_oracle(self, N, m, q):
+        # A far from 1, with sigma^2 scaled alike, leaves the mean and
+        # var / A as they are: A only scales the variance.
         rng = np.random.default_rng(100 * N + m + q)
         w, z, u = random_instance(rng, N, m, q=q)
-        mean, var = predictive(w, z, u, HYPER)
-        want_mean, cov = conditioning_oracle(w, z, u, HYPER)
-        assert mean.shape == (m, q) and var.shape == (m,)
-        np.testing.assert_allclose(mean, want_mean, atol=1e-8)
-        np.testing.assert_allclose(var, np.diag(cov), atol=1e-8)
+        for A in (HYPER.A, 1e-20, 1e20):
+            hyper = GpHyperParams(A, HYPER.rho,
+                                  HYPER.sigma * np.sqrt(A / HYPER.A))
+            mean, var = predictive(w, z, u, hyper)
+            want_mean, cov = conditioning_oracle(w, z, u, hyper)
+            assert mean.shape == (m, q) and var.shape == (m,)
+            np.testing.assert_allclose(mean, want_mean, atol=1e-8)
+            np.testing.assert_allclose(var / A, np.diag(cov) / A, atol=1e-8)
 
     def test_duplicate_predictors_at_zero_noise(self, monkeypatch):
         # Four of 56 grid points appear twice, with equal responses.  The
@@ -386,6 +374,11 @@ class TestJointAndFit:
             for args in ((bad, 1.0, 0.1), (1.0, bad, 0.1), (1.0, 1.0, bad)):
                 with pytest.raises(ValueError, match="finite"):
                     GpHyperParams(*args)
+        # A sigma whose square over A overflows: no noise the kernels can add.
+        for A, sigma in ((1.0, 1e160), (np.float64(1.0), np.float64(1e160)),
+                         (1e-300, 1e5)):
+            with pytest.raises(ValueError, match=r"^sigma\^2 / A .*sigma="):
+                GpHyperParams(A=A, rho=1.0, sigma=sigma)
 
 
 def mixed_charts(seed):

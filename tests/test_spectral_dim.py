@@ -275,6 +275,19 @@ class TestEstimateDimension:
                                      eps_grid=[0.3, 0.4, 0.5])
         assert profile.epsilons == [0.3, 0.4, 0.5]
 
+    def test_array_inputs_match_lists(self):
+        cloud = noisy_ring(100, seed=12)
+        lists = estimate_dimension(cloud, 0.5, embed_dims=[3, 4],
+                                   eps_grid=[0.3, 0.4])
+        arrays = estimate_dimension(cloud, 0.5, embed_dims=np.array([3, 4]),
+                                    eps_grid=np.array([0.3, 0.4]))
+        assert arrays.epsilons == lists.epsilons
+        assert arrays.estimated_dim == lists.estimated_dim
+        for a, b in zip(arrays.lambda_bars, lists.lambda_bars, strict=True):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="^epsilon must be finite"):
+            estimate_dimension(cloud, 0.5, eps_grid=np.array([0.0]))
+
     def test_embedding_suppresses_noise_floor(self):
         # the smallest averaged eigenvalue relative to the largest is
         # smaller after re-embedding than on the raw noisy cloud
