@@ -81,14 +81,10 @@ def denoise_round(cloud: PointCloud, config: DenoiseConfig,
                           config.intrinsic_dim)
     hyper = gp.fit_hyperparams(charts, hyper_warm)
     origin = np.zeros((1, config.intrinsic_dim))
-    new_pts = np.empty_like(cloud.points)
-    variances = np.empty(cloud.n)
-    for k, chart in enumerate(charts):
-        mean, var = gp.predictive(chart.predictors, chart.responses, origin,
-                                  hyper)
-        new_pts[k] = cloud.points[k] + mean[0]
-        variances[k] = var[0]
-    return PointCloud(new_pts), hyper, variances
+    no_extra = np.empty((0, cloud.ambient_dim))
+    points, variances = zip(*(gp.chart_points(chart, origin, hyper, no_extra)
+                              for chart in charts))
+    return PointCloud(np.vstack(points)), hyper, np.concatenate(variances)
 
 
 def denoise(cloud: PointCloud, config: DenoiseConfig) -> DenoiseTrace:

@@ -156,6 +156,25 @@ def predictive(
     return mean, variance
 
 
+def chart_points(chart: ChartRegression, u: np.ndarray, hyper: GpHyperParams,
+                 extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chart's surface base + u U^T + mu(u) at tangent coordinates u
+    (m, d), and the posterior variances (m,) there.
+
+    mu is the posterior mean of the normal residuals, trained on the
+    chart's own rows and on the points base + extra, extra an (r, D)
+    array of ambient displacements split into tangent and normal parts
+    as the chart's members are.  Denoising evaluates every chart at
+    u = 0 with no extra rows; interpolation at sampled u, with the
+    points of earlier charts as extra rows.
+    """
+    w = extra @ chart.U
+    train_w = np.vstack([chart.predictors, w])
+    train_z = np.vstack([chart.responses, extra - w @ chart.U.T])
+    mean, variance = predictive(train_w, train_z, u, hyper)
+    return chart.base + u @ chart.U.T + mean, variance
+
+
 class _Stats(NamedTuple):
     """Sufficient statistics of the likelihood of a chart stack at (rho, s).
 
@@ -299,24 +318,33 @@ class _Search:
     def __init__(self, stack: _ChartStack, init: GpHyperParams):
         self.stack, self.qN = stack, stack.q * stack.N
         span = np.exp([-_LOG_SPAN, _LOG_SPAN])
-        self.A_box = init.A * span
-        self.bounds = [np.log(init.rho * span),
-                       (np.log(S_FLOOR), -np.log(S_FLOOR))]
+        # A bound that overflows to inf is no bound.
+        with np.errstate(over="ignore"):
+            self.A_box = init.A * span
+            self.bounds = [np.log(init.rho * span),
+                           (np.log(S_FLOOR), -np.log(S_FLOOR))]
         self.last = self.best = (np.inf, None, None, None)
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        rho, s = np.exp(theta)
-        try:
-            st = self.stack.stats(rho, s)
-        except FactorizationError:
+        # Near the largest floats T, A* or sigma can overflow: such a point
+        # is infeasible, as one whose matrices do not factor is.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho, s = np.exp(theta)
+            try:
+                st = self.stack.stats(rho, s)
+            except FactorizationError:
+                return np.inf, np.zeros(2)
+            A = float(np.clip(st.T / self.qN, *self.A_box))
+            # At a clamped A this is the full likelihood, else the profiled
+            # one (whose gradient the envelope theorem makes the fixed-A
+            # gradient).
+            value, grad = _value_grad(st, A)
+            f, g = -value / self.qN, -grad[1:] / self.qN
+            sigma = float(np.sqrt(s * A))
+        if not np.all(np.isfinite([A, sigma, f, *g])):
             return np.inf, np.zeros(2)
-        A = float(np.clip(st.T / self.qN, *self.A_box))
-        # At a clamped A this is the full likelihood, else the profiled one
-        # (whose gradient the envelope theorem makes the fixed-A gradient).
-        value, grad = _value_grad(st, A)
-        f, g = -value / self.qN, -grad[1:] / self.qN
         self.last = (f, np.array(theta), g,
-                     GpHyperParams(A, float(rho), float(np.sqrt(s * A))))
+                     GpHyperParams(A, float(rho), sigma))
         if self.best[3] is None or \
                 f < self.best[0] - _ROUNDING * (1.0 + abs(self.best[0])):
             self.best = self.last
@@ -371,7 +399,8 @@ def fit_hyperparams(
     the result is never worse than the init by more than rounding, and
     its gradient, not a stopping rule, fixes it: the order of the charts
     moves it by rounding only.  It raises FactorizationError if no point
-    evaluated on all charts factors.  Deterministic.  The charts are
+    evaluated on all charts factors with finite A*, sigma, objective and
+    gradient.  Deterministic.  The charts are
     those of build_charts: at least one, each holding a row.
     """
     stack = _ChartStack.of_charts(charts)

@@ -86,14 +86,10 @@ def interpolate(
             base_dist <= (config.delta + reach[:k]) * (1.0 + 1e-9))
         rel = out[near].reshape(-1, D) - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
-        w_glue = rel @ chart.U
-        train_w = np.vstack([chart.predictors, w_glue])
-        train_z = np.vstack([chart.responses, rel - w_glue @ chart.U.T])
         try:
-            mean, _ = gp.predictive(train_w, train_z, test_u, hyper)
+            out[k], _ = gp.chart_points(chart, test_u, hyper, rel)
         except gp.FactorizationError as exc:
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
-        out[k] = chart.base + test_u @ chart.U.T + mean
         reach[k] = np.max(np.linalg.norm(out[k] - chart.base, axis=1))
 
     made = np.flatnonzero(reach != -np.inf)

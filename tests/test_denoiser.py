@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from mrgap import gp
 from mrgap.denoiser import DenoiseConfig, denoise, denoise_round
 from mrgap.evaluation import grmse
 from mrgap.interpolator import interpolate
@@ -267,7 +268,8 @@ class TestDenoise:
                                    shrink * np.array(trace_a.predictive_variances),
                                    rtol=1e-9)
 
-    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("c", [1e-150, 1e-12, 1e-9, 1e-6, 1e6, 1e9,
+                                   1e12, 1e150])
     def test_scale_equivariance_at_extreme_scales(self, c):
         # The fit's search box is relative to the data, so no bound binds
         # in one unit and not in another: c X denoises and interpolates to
@@ -282,6 +284,19 @@ class TestDenoise:
             np.testing.assert_allclose(
                 [hb.rho / c ** 2, hb.A / c ** 2, hb.sigma / c],
                 [ha.rho, ha.A, ha.sigma], rtol=1e-6)
+
+    def test_denoised_cloud_is_the_reconstruction_at_its_bases(self):
+        # The README's chain.  The charts of clouds[-2] at hypers[-1] are
+        # the fitted model: each evaluated at u = 0 with no extra rows gives
+        # its denoised point and the variance the trace records there.
+        trace, _ = cassini_run(1.0)
+        evaluated = [gp.chart_points(chart, np.zeros((1, 1)), trace.hypers[-1],
+                                     np.empty((0, 3)))
+                     for chart in build_charts(trace.clouds[-2], 0.3, 0.6, 1)]
+        points, variances = (np.concatenate(v) for v in zip(*evaluated))
+        assert points.tobytes() == trace.clouds[-1].points.tobytes()
+        assert variances.tobytes() == \
+            np.array(trace.predictive_variances).tobytes()
 
     def test_flat_plane_interpolation_ready_trace(self):
         cloud = flat_plane_cloud()

@@ -764,6 +764,36 @@ def test_fit_is_the_best_point_evaluated(monkeypatch, charts, init):
         pytest.approx(best, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_finish_is_no_worse_than_its_start(monkeypatch, seed):
+    # Near the s floor the likelihood of noise-free Cassini is rough, and
+    # on each of these seeds the round-1 finish refuses a Newton step.
+    # Whether it stops there or after a kept step, the point it returns
+    # scores no worse than the best point it started from, up to rounding.
+    objective, newton = gp._Search.__call__, gp._Search.newton
+    scores, finishes = [], []
+
+    def recorded(self, theta):
+        value, grad = objective(self, theta)
+        scores.append(self.last)
+        return value, grad
+
+    def finish(self):
+        f0 = self.best[0]
+        hyper = newton(self)
+        finishes.append((f0, hyper))
+        return hyper
+
+    monkeypatch.setattr(gp._Search, "__call__", recorded)
+    monkeypatch.setattr(gp._Search, "newton", finish)
+    fitted = fit_hyperparams(build_charts(gen_cassini(102, seed=seed),
+                                          0.3, 0.6, 1))
+    ((f0, hyper),) = finishes
+    assert hyper is fitted
+    (f,) = {last[0] for last in scores if last[3] is fitted}
+    assert f <= f0 + gp._ROUNDING * (1.0 + abs(f0))
+
+
 def test_tiny_responses_leave_the_start():
     # Responses 1e-20 of their O(1) predictors: A* lies far outside any box
     # around the start's rho, but inside the one around the start's A.
