@@ -204,6 +204,9 @@ class _ChartStack:
         self.zz = 0.0  # sum of |Z_k|^2, added in chart order
         for _, z in pairs:
             self.zz += float(np.sum(z ** 2))
+        # Whether some chart holds two distinct predictors, which squared
+        # distances that underflow to 0 no longer show.
+        self.spread = any(np.any(w != w[0]) for w, _ in pairs)
         sizes = np.array([w.shape[0] for w, _ in pairs])
         self.N = int(sizes.sum())
         self.stacks = []
@@ -226,10 +229,21 @@ class _ChartStack:
         """Scale-aware starting point: A the mean square response, rho the
         median squared distance between two predictors of a chart, sigma
         a tenth of the signal scale.  A zero median falls back to the
-        largest distance, then to 1, and zero responses to A = rho."""
+        largest distance, then to 1, and zero responses to A = rho.
+
+        Raises ValueError if sum |Z|^2 or a squared distance overflows, or
+        if every squared distance underflows to 0 though some chart holds
+        distinct predictors: the coordinates' scale is then outside the
+        range the fit is checked on."""
         sq = np.concatenate([
             d.transpose(1, 2, 0)[np.triu_indices(d.shape[1], 1)].ravel()
             for d, _ in self.stacks])
+        over = not (np.isfinite(self.zz) and np.isfinite(sq).all())
+        if over or self.spread and not sq.any():
+            raise ValueError(
+                "coordinate scale out of range: squared coordinates "
+                f"{'overflow' if over else 'underflow to 0'}; rescale the "
+                "data into the checked range, 1e-150 to 1e150")
         rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
         rho = rho or float(sq.max(initial=0.0)) or 1.0
         A = self.zz / (self.q * self.N) or rho

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mrgap import cli, gp, spectral_dim
+from mrgap import cli, gp, point_cloud, spectral_dim
 from mrgap.cli import main
 from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise
 from mrgap.gp import GpHyperParams
@@ -746,6 +746,33 @@ class TestDevicesAndPipes:
                                 capsys)
         assert (code, out) == (2, "")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["evaluate", "estimate-dim"])
+    def test_failed_write_reaps_children(self, tmp_path, pipeline, capsys,
+                                         monkeypatch, split_writes, name):
+        # The same failure after the output was split: every child the
+        # write started has ended once _write has raised.
+        self.test_failed_write_leaves_no_file(tmp_path, pipeline, capsys,
+                                              monkeypatch, name)
+        assert split_writes
+        assert all(child.returncode is not None for child in split_writes)
+
+    def test_failed_child_leaves_no_file(self, tmp_path, pipeline, capsys,
+                                         monkeypatch, split_writes):
+        # A child that writes half a row and exits 1 fails the command
+        # with one error line, and the output it created is removed.
+        monkeypatch.setattr(point_cloud, "_FORMAT_ROWS", "import sys\n"
+                            "sys.stdout.write('1.5,')\n"
+                            "sys.exit(1)\n")
+        out = tmp_path / "new.csv"
+        assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
+                    "--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", "error: a CSV writer process exited with status 1: "
+                "no message\n")
+        assert not out.exists()
+        assert split_writes
+        assert all(child.returncode is not None for child in split_writes)
 
 
 class TestPipedInputs:

@@ -3,12 +3,13 @@ import functools
 import numpy as np
 import pytest
 
-from mrgap import gp
+from mrgap import cli, gp
 from mrgap.denoiser import DenoiseConfig, denoise, denoise_round
 from mrgap.evaluation import grmse
 from mrgap.interpolator import interpolate
 from mrgap.local_geometry import InsufficientNeighborsError, build_charts
-from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
+from mrgap.point_cloud import (NoiseSpec, PointCloud, add_gaussian_noise,
+                               gen_cassini, save_csv)
 
 from .oracles import circle, grmse_analytic, plane
 
@@ -284,6 +285,39 @@ class TestDenoise:
             np.testing.assert_allclose(
                 [hb.rho / c ** 2, hb.A / c ** 2, hb.sigma / c],
                 [ha.rho, ha.A, ha.sigma], rtol=1e-6)
+
+    # Beyond the checked range the first fit's start fails loudly: at
+    # c = 2^510 sum |Z|^2 overflows, and at c = 2^-540 every squared
+    # distance between a chart's predictors underflows to 0.
+    OUT_OF_RANGE = [(2.0 ** 510, "overflow"), (2.0 ** -540, "underflow to 0")]
+
+    @staticmethod
+    def out_of_range_cloud(c):
+        noisy = add_gaussian_noise(gen_cassini(102, seed=7), NoiseSpec(0.04, 8))
+        return PointCloud(c * noisy.points)
+
+    @pytest.mark.parametrize("c, word", OUT_OF_RANGE, ids=["2^510", "2^-540"])
+    def test_scale_outside_checked_range_raises(self, c, word):
+        cfg = DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c, intrinsic_dim=1,
+                            max_iter=2)
+        with pytest.raises(ValueError, match=(
+                f"^coordinate scale out of range: squared coordinates {word}; "
+                "rescale the data into the checked range, 1e-150 to 1e150$")):
+            denoise(self.out_of_range_cloud(c), cfg)
+
+    @pytest.mark.parametrize("c, word", OUT_OF_RANGE, ids=["2^510", "2^-540"])
+    def test_cli_scale_outside_checked_range_exits_2(self, tmp_path, capsys,
+                                                     c, word):
+        noisy, out = tmp_path / "noisy.csv", tmp_path / "den.csv"
+        save_csv(self.out_of_range_cloud(c), noisy)
+        assert cli.main(["denoise", "--in", str(noisy), "--epsilon",
+                         repr(0.3 * c), "--delta", repr(0.6 * c), "--d", "1",
+                         "--max-iter", "2", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("error: coordinate scale out of range")
+        assert f"squared coordinates {word};" in err and "A " not in err
+        assert not out.exists()
 
     def test_denoised_cloud_is_the_reconstruction_at_its_bases(self):
         # The README's chain.  The charts of clouds[-2] at hypers[-1] are

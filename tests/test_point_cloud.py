@@ -1,9 +1,11 @@
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from mrgap import point_cloud
 from mrgap.point_cloud import (
     CsvFormatError,
     NoiseSpec,
@@ -250,6 +252,84 @@ class TestCsv:
         save_csv(cloud, p)
         back = load_csv(p)
         assert grmse(cloud, back).value == 0.0
+
+
+# Rows that save_csv splits under the split_writes fixture, by name: the
+# count of blocks each is cut into is the count of children plus one.
+_SPLIT = {
+    "2-d": (np.random.default_rng(3).normal(size=(40, 7)), 3),
+    "1-d": (np.random.default_rng(4).normal(size=50), 3),
+    "fewer-rows-than-parts": (np.random.default_rng(5).normal(size=(2, 30)),
+                              2),
+    # The last two rows, which hold the special values, go to children.
+    "special-values": (np.array([[1.0, -2.5, 1e-300],
+                                 [0.1, 1 / 3, 2 ** 0.5],
+                                 [np.nan, np.inf, -np.inf],
+                                 [-0.0, 5e-324, 1.7976931348623157e308]]), 3),
+}
+
+
+class TestSplitCsv:
+    """A large array is cut into row blocks, one formatted in process and
+    each other one by a child interpreter, and the file holds
+    np.savetxt's bytes.  split_writes forces the split."""
+
+    @staticmethod
+    def savetxt_bytes(rows, tmp_path):
+        ref = tmp_path / "savetxt.csv"
+        np.savetxt(ref, rows, delimiter=",", fmt="%.17g")
+        return ref.read_bytes()
+
+    @pytest.mark.parametrize("name", list(_SPLIT))
+    def test_regular_file_gets_savetxt_bytes(self, tmp_path, split_writes,
+                                            name):
+        rows, blocks = _SPLIT[name]
+        p = tmp_path / "c.csv"
+        save_csv(rows, p)
+        assert p.read_bytes() == self.savetxt_bytes(rows, tmp_path)
+        assert [child.returncode for child in split_writes] == [0] * (
+            blocks - 1)
+
+    def test_fifo_and_dev_null(self, tmp_path, split_writes):
+        # Both ends of the FIFO run in threads, so an end that blocks
+        # fails the test.
+        rows, _ = _SPLIT["2-d"]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        ends = [threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                 daemon=True),
+                threading.Thread(target=save_csv, args=(rows, fifo),
+                                 daemon=True)]
+        for end in ends:
+            end.start()
+        for end in ends:
+            end.join(timeout=30)
+        assert not any(end.is_alive() for end in ends)
+        assert got == [self.savetxt_bytes(rows, tmp_path)]
+        save_csv(rows, "/dev/null")
+        assert [child.returncode for child in split_writes] == [0] * 4
+
+    def test_without_an_interpreter_path_writes_in_process(
+            self, tmp_path, split_writes, monkeypatch):
+        rows, _ = _SPLIT["2-d"]
+        monkeypatch.setattr(sys, "executable", "")
+        p = tmp_path / "c.csv"
+        save_csv(rows, p)
+        assert p.read_bytes() == self.savetxt_bytes(rows, tmp_path)
+        assert split_writes == []
+
+    def test_failed_child_raises_and_is_reaped(self, tmp_path, split_writes,
+                                               monkeypatch):
+        # A child that writes half a row and exits 1 raises OSError with
+        # the last line of its stderr, and no child is left running.
+        monkeypatch.setattr(point_cloud, "_FORMAT_ROWS", "import sys\n"
+                            "sys.stdout.write('1.5,')\n"
+                            "sys.exit('half a row')\n")
+        with pytest.raises(OSError, match="status 1: half a row$"):
+            save_csv(_SPLIT["2-d"][0], tmp_path / "c.csv")
+        assert split_writes
+        assert all(child.returncode is not None for child in split_writes)
 
 
 class TestCassini:
