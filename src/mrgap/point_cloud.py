@@ -185,33 +185,28 @@ def _usable_cpus() -> int:
 def save_csv(cloud: PointCloud | np.ndarray, path) -> None:
     """Write a cloud or array as CSV rows of 17 significant digits to an
     open text file, or as plain text to a path (opened once, any suffix).
-    An empty array raises ValueError before anything is written: load_csv
-    refuses the empty file it would make.
+    An empty array (load_csv refuses the empty file it would make), or
+    one that is not 1-D or 2-D, raises ValueError before the path is
+    opened.
 
-    The bytes are np.savetxt's at fmt="%.17g".  An array of at least two
-    parts of _PART_VALUES values is cut into one block of rows per usable
-    CPU (at most one per part): this process formats the first, and a
-    child interpreter each other one, and the children's output follows
-    in order.  Every child has ended when the call returns or raises; a
-    child that fails raises OSError."""
+    The bytes are np.savetxt's at fmt="%.17g".  The rows are cut into
+    min(usable CPUs, values // _PART_VALUES, rows) blocks, or into one if
+    that is below 2 or no interpreter path is known.  This process
+    formats the first block and a child interpreter each other one into
+    a spool file, copied out in order.  Every child has ended when the
+    call returns or raises; a child that fails raises OSError."""
     rows = np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud)
     if rows.size == 0:
         raise ValueError(f"cannot write an empty array, shape {rows.shape}")
-    if not hasattr(path, "write"):
-        with open(path, "w") as fh:
-            return save_csv(rows, fh)
-    parts = min(_usable_cpus(), rows.size // _PART_VALUES)
-    if parts < 2 or not sys.executable:
-        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
-    else:
-        _save_blocks(np.array_split(rows, min(parts, len(rows))), path)
-
-
-def _save_blocks(blocks: list[np.ndarray], fh) -> None:
-    """Write blocks[0] with np.savetxt while a child formats each other
-    block into a spool file, then copy the spools to fh in order.  An
-    error kills and reaps every child before it propagates."""
+    if rows.ndim not in (1, 2):
+        raise ValueError(
+            f"Expected 1D or 2D array, got {rows.ndim}D array instead")
+    parts = min(_usable_cpus(), rows.size // _PART_VALUES, len(rows))
+    blocks = np.array_split(rows, parts if parts >= 2 and sys.executable
+                            else 1)
     with contextlib.ExitStack() as stack:
+        fh = (path if hasattr(path, "write")
+              else stack.enter_context(open(path, "w")))
         children = []
         for block in blocks[1:]:
             spool = stack.enter_context(tempfile.TemporaryFile())
@@ -222,6 +217,9 @@ def _save_blocks(blocks: list[np.ndarray], fh) -> None:
                     [sys.executable, "-I", "-S", "-c", _FORMAT_ROWS,
                      str(block[0].size)],
                     stdin=values, stdout=spool, stderr=subprocess.PIPE))
+            # Kill, then reap: after an interrupt Popen's exit waits at
+            # most 0.25 s, or not at all if an interrupted wait already did.
+            stack.callback(child.wait)
             stack.callback(child.kill)
             children.append((child, spool))
         np.savetxt(fh, blocks[0], delimiter=",", fmt="%.17g")

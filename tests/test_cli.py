@@ -774,6 +774,22 @@ class TestDevicesAndPipes:
         assert split_writes
         assert all(child.returncode is not None for child in split_writes)
 
+    def test_interrupt_reaps_children_and_leaves_no_file(
+            self, tmp_path, pipeline, monkeypatch, split_writes):
+        # An interrupt while the first block is formatted propagates once
+        # every child has ended and the output it created is removed.
+        def interrupt(fh, rows, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savetxt", interrupt)
+        out = tmp_path / "new.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run(["interpolate", "--trace", pipeline[3], "--k", 2,
+                 "--out", out])
+        assert not out.exists()
+        assert split_writes
+        assert all(child.returncode is not None for child in split_writes)
+
 
 class TestPipedInputs:
     """An input file is opened once and read to its end, so a FIFO or a

@@ -1,4 +1,5 @@
 import os
+import signal
 import sys
 import threading
 
@@ -319,6 +320,40 @@ class TestSplitCsv:
         assert p.read_bytes() == self.savetxt_bytes(rows, tmp_path)
         assert split_writes == []
 
+    # An array of fewer than two parts, a single row, or a single usable
+    # CPU makes one block, which this process formats.
+    @pytest.mark.parametrize("shape, cpus", [((7,), 3), ((1, 40), 3),
+                                             ((40, 7), 1)],
+                             ids=["fewer-than-two-parts", "one-row",
+                                  "one-cpu"])
+    def test_one_block_starts_no_child(self, tmp_path, split_writes,
+                                       monkeypatch, shape, cpus):
+        monkeypatch.setattr(point_cloud, "_usable_cpus", lambda: cpus)
+        rows = np.random.default_rng(6).normal(size=shape)
+        p = tmp_path / "c.csv"
+        save_csv(rows, p)
+        assert p.read_bytes() == self.savetxt_bytes(rows, tmp_path)
+        assert split_writes == []
+
+    @pytest.mark.parametrize("rows", [np.float64(3.0), np.zeros((4, 3, 2))],
+                             ids=["0-d", "3-d"])
+    def test_wrong_rank_leaves_the_file_and_starts_no_child(
+            self, tmp_path, split_writes, rows):
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"1,2\n3,4\n")
+        with pytest.raises(ValueError, match=(
+                f"^Expected 1D or 2D array, got {rows.ndim}D array "
+                "instead$")):
+            save_csv(rows, p)
+        assert p.read_bytes() == b"1,2\n3,4\n"
+        assert split_writes == []
+
+    def test_unopenable_path_starts_no_child(self, tmp_path, split_writes):
+        # The path is opened before any child starts.
+        with pytest.raises(FileNotFoundError):
+            save_csv(_SPLIT["2-d"][0], tmp_path / "missing" / "c.csv")
+        assert split_writes == []
+
     def test_failed_child_raises_and_is_reaped(self, tmp_path, split_writes,
                                                monkeypatch):
         # A child that writes half a row and exits 1 raises OSError with
@@ -330,6 +365,24 @@ class TestSplitCsv:
             save_csv(_SPLIT["2-d"][0], tmp_path / "c.csv")
         assert split_writes
         assert all(child.returncode is not None for child in split_writes)
+
+    def test_interrupt_while_waiting_reaps_every_child(
+            self, tmp_path, split_writes, monkeypatch):
+        # SIGINT arrives while this process waits for a child that has
+        # closed its stderr but not ended: the interrupt propagates once
+        # every child has been killed and reaped.
+        monkeypatch.setattr(point_cloud, "_FORMAT_ROWS", "import os, time\n"
+                            "os.close(2)\n"
+                            "time.sleep(60)\n")
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                save_csv(_SPLIT["2-d"][0], tmp_path / "c.csv")
+        finally:
+            timer.cancel()
+        assert [child.returncode for child in split_writes] == [
+            -signal.SIGKILL] * 2
 
 
 class TestCassini:
