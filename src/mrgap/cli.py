@@ -220,11 +220,8 @@ def cmd_interpolate(args):
             raise ValueError(f"trace: {args.trace}: not a readable JSON "
                              f"document: {exc}") from None
     trace, config = trace_from_json(doc)
-    cloud, chart_idx = interpolate(trace, config, args.k, args.seed,
-                                   return_chart_index=True)
-    return args.out, [(args.out, cloud.points),
-                      (args.chart_index_out,
-                       {"chart_index": chart_idx.tolist()})]
+    cloud = interpolate(trace, config, args.k, args.seed)
+    return args.out, [(args.out, cloud.points)]
 
 
 def cmd_evaluate(args):
@@ -279,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--k", type=int, required=True)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--out", required=True)
-    i.add_argument("--chart-index-out", default=None)
     i.set_defaults(func=cmd_interpolate)
 
     e = sub.add_parser("evaluate", help="GRMSE between two clouds")

@@ -34,6 +34,7 @@ chart's q (not D) as the count of response dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -331,12 +332,12 @@ class _Search:
 
     def __init__(self, stack: _ChartStack, init: GpHyperParams):
         self.stack, self.qN = stack, stack.q * stack.N
-        span = np.exp([-_LOG_SPAN, _LOG_SPAN])
-        # A bound that overflows to inf is no bound.
-        with np.errstate(over="ignore"):
-            self.A_box = init.A * span
-            self.bounds = [np.log(init.rho * span),
-                           (np.log(S_FLOOR), -np.log(S_FLOOR))]
+        # Python floats: A's bounds go to 0 or inf without a warning, and
+        # an infinite bound is no bound.
+        log_rho, span = math.log(init.rho), math.exp(_LOG_SPAN)
+        self.A_box = (init.A / span, init.A * span)
+        self.bounds = [(log_rho - _LOG_SPAN, log_rho + _LOG_SPAN),
+                       (math.log(S_FLOOR), -math.log(S_FLOOR))]
         self.last = self.best = (np.inf, None, None, None)
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -9,13 +9,11 @@ tangent displacement plus the posterior mean of the ambient residual there.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import gp
 from .denoiser import DenoiseConfig, DenoiseTrace
-from .local_geometry import InsufficientNeighborsError, build_charts
+from .local_geometry import build_charts
 from .point_cloud import PointCloud, _check_count
 
 
@@ -49,12 +47,12 @@ def interpolate(
     config: DenoiseConfig,
     K: int,
     seed: int = 0,
-    return_chart_index: bool = False,
-) -> PointCloud | tuple[PointCloud, np.ndarray]:
+) -> PointCloud:
     """Interpolate K points per chart from the trace's second-to-last cloud
     and last-round hyperparameters, gluing each chart to the points that
-    earlier charts produced.  Returns n*K points, fewer only if degenerate
-    charts were skipped; raises InsufficientNeighborsError if all were."""
+    earlier charts produced.  Returns n*K points: chart j's are rows j*K
+    to (j+1)*K - 1.  A chart whose predictors coincide samples its
+    radius-0 ball, so its K points are its surface at that one point."""
     _check_count(K, "K")
     _check_count(seed, "seed", 0)
     cloud = trace.clouds[-2]
@@ -62,18 +60,14 @@ def interpolate(
     D = cloud.ambient_dim
     chart_seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
 
-    # Chart j's K points are out[j], all within reach[j] of y_j; a skipped
-    # chart reaches nowhere.
+    # Chart j's K points are out[j], all within reach[j] of y_j.
     out = np.empty((cloud.n, K, D))
-    reach = np.full(cloud.n, -np.inf)
+    reach = np.empty(cloud.n)
     charts = build_charts(cloud, config.epsilon, config.delta,
                           config.intrinsic_dim)
     for k, chart in enumerate(charts):
-        center, radius = estimate_domain_ball(chart.predictors)
-        if radius == 0.0:
-            warnings.warn(f"chart {k}: degenerate domain, skipped")
-            continue
-        test_u = sample_ball_uniform(center, radius, K, int(chart_seeds[k]))
+        test_u = sample_ball_uniform(*estimate_domain_ball(chart.predictors),
+                                     K, int(chart_seeds[k]))
 
         # Gluing points: earlier interpolated points within delta of y_k.
         # By the triangle inequality only charts j with
@@ -92,12 +86,4 @@ def interpolate(
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
         reach[k] = np.max(np.linalg.norm(out[k] - chart.base, axis=1))
 
-    made = np.flatnonzero(reach != -np.inf)
-    if not made.size:
-        raise InsufficientNeighborsError("every chart's domain is degenerate")
-    # Rebinding frees the (n, K, D) buffer before PointCloud copies the rows.
-    out = out[made].reshape(-1, D)
-    points = PointCloud(out)
-    if return_chart_index:
-        return points, np.repeat(made, K)
-    return points
+    return PointCloud(out.reshape(-1, D))

@@ -236,7 +236,7 @@ def grmse_analytic(eval_set, manifold):
 
 def interpolate_full_scan(trace, config, K, seed=0):
     """mrgap's interpolate with the glue rows of each chart found by
-    scanning every point produced so far; returns (points, chart index).
+    scanning every point produced so far; returns the (n K, D) points.
 
     The charts, samples and posterior means come from mrgap itself, so the
     result must equal interpolate's bitwise.
@@ -246,12 +246,9 @@ def interpolate_full_scan(trace, config, K, seed=0):
     d = config.intrinsic_dim
     seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
     accumulated = np.empty((0, cloud.ambient_dim))
-    chart_of = []
     charts = build_charts(cloud, config.epsilon, config.delta, d)
     for k, chart in enumerate(charts):
         center, radius = estimate_domain_ball(chart.predictors)
-        if radius == 0.0:
-            continue
         test_u = sample_ball_uniform(center, radius, K, int(seeds[k]))
         rel = accumulated - chart.base
         rel = rel[np.linalg.norm(rel, axis=1) <= config.delta]
@@ -262,8 +259,7 @@ def interpolate_full_scan(trace, config, K, seed=0):
             test_u, hyper)
         new = chart.base + test_u @ chart.U.T + mean
         accumulated = np.vstack([accumulated, new])
-        chart_of += [k] * K
-    return accumulated, np.asarray(chart_of, dtype=int)
+    return accumulated
 
 
 def _single(train_w, train_z, hyper):

@@ -269,15 +269,6 @@ class TestInterpolateAndEvaluate:
              "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_chart_index_output(self, tmp_path, pipeline):
-        _, _, _, trace = pipeline
-        out = tmp_path / "interp.csv"
-        idx = tmp_path / "idx.json"
-        run(["interpolate", "--trace", trace, "--k", 3, "--out", out,
-             "--chart-index-out", idx])
-        doc = json.loads(idx.read_text())
-        assert len(doc["chart_index"]) == 102 * 3
-
     def test_evaluate_identical_is_zero(self, pipeline, capsys):
         _, noisy, _, _ = pipeline
         assert run(["evaluate", "--in", noisy, "--ref", noisy]) == 0
@@ -310,16 +301,26 @@ class TestInterpolateAndEvaluate:
         lib_trace = denoise(load_csv(str(noisy)), config)
         np.testing.assert_array_equal(load_csv(str(den)).points,
                                       lib_trace.clouds[-1].points)
-        lib_points, lib_idx = interpolate(lib_trace, config, 5, 4,
-                                          return_chart_index=True)
+        lib_points = interpolate(lib_trace, config, 5, 4)
         out = tmp_path / "interp.csv"
-        idx = tmp_path / "idx.json"
         assert run(["interpolate", "--trace", trace, "--k", 5, "--seed", 4,
-                    "--out", out, "--chart-index-out", idx]) == 0
+                    "--out", out]) == 0
         np.testing.assert_array_equal(load_csv(str(out)).points,
                                       lib_points.points)
-        np.testing.assert_array_equal(
-            json.loads(idx.read_text())["chart_index"], lib_idx)
+
+    def test_every_chart_degenerate_repeats_the_cloud(self, tmp_path):
+        # Isolated pairs of one point: each chart's predictors coincide, so
+        # each chart yields K copies of its base.
+        cloud = PointCloud(np.repeat(np.eye(3) * 10.0, 2, axis=0))
+        config = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1)
+        trace = DenoiseTrace([cloud, cloud], [GpHyperParams(1.0, 1.0, 0.1)],
+                             [0.0] * cloud.n)
+        path, out = tmp_path / "trace.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(cli.trace_to_json(trace, config)))
+        assert run(["interpolate", "--trace", path, "--k", 2,
+                    "--out", out]) == 0
+        np.testing.assert_array_equal(load_csv(str(out)).points,
+                                      np.repeat(cloud.points, 2, axis=0))
 
     def test_schema_1_trace_asks_for_rerun(self, tmp_path, capsys):
         trace = tmp_path / "v1.json"
@@ -595,8 +596,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["denoise", "--in", "NOISY", "--epsilon", 0.3, "--delta", 0.6,
          "--d", 1, "--max-iter", 2, "--out", "OUT", "--trace-out", "BAD"],
-        ["interpolate", "--trace", "TRACE", "--k", 2, "--out", "OUT",
-         "--chart-index-out", "BAD"],
+        ["interpolate", "--trace", "TRACE", "--k", 2, "--out", "BAD"],
         ["evaluate", "--in", "NOISY", "--ref", "NOISY",
          "--distances-out", "BAD"],
         ["estimate-dim", "--in", "NOISY", "--eps-dm", 2.0,
@@ -619,17 +619,18 @@ class TestBadInput:
                                                     pipeline):
         out = tmp_path / "o.csv"
         out.write_text("old\n")
-        assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
-                    "--out", out, "--chart-index-out",
-                    tmp_path / "nodir" / "x"]) == 2
+        assert run(["denoise", "--in", pipeline[1], "--epsilon", 0.3,
+                    "--delta", 0.6, "--d", 1, "--max-iter", 2, "--out", out,
+                    "--trace-out", tmp_path / "nodir" / "x"]) == 2
         assert out.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 
     def test_one_file_named_twice_is_input_error(self, tmp_path, pipeline,
                                                  capsys):
         out = tmp_path / "o.csv"
-        assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
-                    "--out", out, "--chart-index-out", out]) == 2
+        assert run(["denoise", "--in", pipeline[1], "--epsilon", 0.3,
+                    "--delta", 0.6, "--d", 1, "--max-iter", 2,
+                    "--out", out, "--trace-out", out]) == 2
         assert "two output paths name one file" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
@@ -665,8 +666,6 @@ _ONE_OUTPUT = {
                       "--out", "SIDE", "--trace-out", "OUT"],
     "interpolate": ["interpolate", "--trace", "TRACE", "--k", 2,
                     "--out", "OUT"],
-    "interpolate-chart-index": ["interpolate", "--trace", "TRACE", "--k", 2,
-                                "--out", "SIDE", "--chart-index-out", "OUT"],
     "evaluate": ["evaluate", "--in", "NOISY", "--ref", "DENOISED",
                  "--distances-out", "OUT"],
     "estimate-dim": ["estimate-dim", "--in", "NOISY", "--eps-dm", 0.5,
@@ -910,22 +909,6 @@ class TestNumericalExitCode:
         assert run(["interpolate", "--trace", pipeline[3], "--k", 2,
                     "--out", out]) == 3
         assert "error: chart 3: Cholesky failed" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_every_chart_degenerate_is_numerical_error(self, tmp_path,
-                                                       capsys):
-        # Isolated pairs of one point: each chart's predictors coincide.
-        cloud = PointCloud(np.repeat(np.eye(3) * 10.0, 2, axis=0))
-        config = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1)
-        trace = DenoiseTrace([cloud, cloud], [GpHyperParams(1.0, 1.0, 0.1)],
-                             [0.0] * cloud.n)
-        path, out = tmp_path / "trace.json", tmp_path / "o.csv"
-        path.write_text(json.dumps(cli.trace_to_json(trace, config)))
-        with pytest.warns(UserWarning, match="degenerate domain"):
-            assert run(["interpolate", "--trace", path, "--k", 2,
-                        "--out", out]) == 3
-        assert ("error: every chart's domain is degenerate"
-                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_isolated_point_in_trace_is_numerical_error(

@@ -270,13 +270,17 @@ class TestDenoise:
                                    rtol=1e-9)
 
     # Just past the checked range the outputs go wrong with no warning or
-    # error: at c = 2^504 the denoised cloud is ~3% of max |x| off.
+    # error: at c = 2^504 the denoised cloud is ~3% of max |x| off.  Below
+    # it, c = 2^-507 to 2^-509 put rho0 e^-40, the search box's lower rho
+    # bound, under the smallest float: the box must not take its log.
     @pytest.mark.parametrize("c", [1e-150, 1e-12, 1e-9, 1e-6, 1e6, 1e9,
                                    1e12, 1e150, pytest.param(
                                        2.0 ** 504, id="2^504",
                                        marks=pytest.mark.xfail(
                                            strict=True, raises=AssertionError,
-                                           reason="ROADMAP item 10"))])
+                                           reason="ROADMAP item 10"))]
+                             + [pytest.param(2.0 ** -e, id=f"2^-{e}")
+                                for e in (507, 508, 509)])
     def test_scale_equivariance_at_extreme_scales(self, c):
         # The fit's search box is relative to the data, so no bound binds
         # in one unit and not in another: c X denoises and interpolates to

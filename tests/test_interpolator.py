@@ -8,7 +8,7 @@ from mrgap.interpolator import (
     interpolate,
     sample_ball_uniform,
 )
-from mrgap.local_geometry import InsufficientNeighborsError
+from mrgap.local_geometry import build_charts
 from mrgap.point_cloud import NoiseSpec, PointCloud, add_gaussian_noise, gen_cassini
 
 from .oracles import grmse_analytic, interpolate_full_scan, plane
@@ -51,10 +51,11 @@ class TestDomainBall:
                                        atol=1e-12)
 
     def test_one_predictor_gives_radius_zero(self):
-        # A lone predictor is its own center; radius 0 marks a skipped chart.
+        # A lone predictor is its own center, and so are coincident ones.
         center, radius = estimate_domain_ball(np.array([[0.5, -1.0]]))
         np.testing.assert_array_equal(center, [0.5, -1.0])
         assert radius == 0.0
+        assert estimate_domain_ball(np.zeros((3, 2)))[1] == 0.0
 
     def test_nonpositive_radius_falls_back_to_half_mean(self):
         # nine coincident predictors and one far one: distances 1 (x9) and
@@ -63,22 +64,6 @@ class TestDomainBall:
         center, radius = estimate_domain_ball(w)
         np.testing.assert_allclose(center, [1.0])
         np.testing.assert_allclose(radius, 0.9, rtol=1e-12)
-
-    def test_coincident_predictors_chart_skipped(self):
-        # Three copies of one point: their charts' predictors coincide, the
-        # ball has radius 0, and interpolate skips those charts.
-        np.testing.assert_array_equal(
-            estimate_domain_ball(np.zeros((3, 2)))[1], 0.0)
-        trace, cfg = flat_plane_trace()
-        cloud = PointCloud(np.vstack([trace.clouds[-2].points,
-                                      np.tile([10.0, 10.0, 0.0], (3, 1))]))
-        trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
-                             predictive_variances=[0.0] * cloud.n)
-        with pytest.warns(UserWarning, match="degenerate domain"):
-            out, idx = interpolate(trace, cfg, K=2, seed=0,
-                                   return_chart_index=True)
-        assert out.n == 2 * (cloud.n - 3)
-        assert idx.max() == cloud.n - 4
 
 
 class TestSampleBall:
@@ -108,6 +93,11 @@ class TestSampleBall:
         r = np.linalg.norm(pts, axis=1)
         np.testing.assert_allclose(np.mean(r), 1.0, rtol=0.02)
 
+    def test_radius_zero_gives_copies_of_center(self):
+        center = np.array([1.5, -2.0, 0.25])
+        pts = sample_ball_uniform(center, 0.0, 6, seed=4)
+        np.testing.assert_array_equal(pts, np.tile(center, (6, 1)))
+
     def test_dimension_of_center(self):
         pts = sample_ball_uniform(np.array([3.0]), 0.5, 7, seed=0)
         assert pts.shape == (7, 1)
@@ -126,13 +116,19 @@ class TestInterpolate:
         out = interpolate(trace, cfg, K=10, seed=0)
         assert grmse_analytic(out, plane(2)).value <= 1e-6
 
-    def test_chart_index_shape(self):
+    def test_rows_grouped_by_chart(self):
+        # Rows j K to (j + 1) K - 1 are chart j's: their tangent
+        # coordinates about its base lie in its domain ball.
         trace, cfg = flat_plane_trace()
-        out, idx = interpolate(trace, cfg, K=4, seed=0,
-                               return_chart_index=True)
-        assert idx.shape == (out.n,)
-        counts = np.bincount(idx, minlength=150)
-        assert np.all(counts == 4)
+        K = 4
+        out = interpolate(trace, cfg, K=K, seed=0).points.reshape(-1, K, 3)
+        charts = build_charts(trace.clouds[-2], cfg.epsilon, cfg.delta,
+                              cfg.intrinsic_dim)
+        for rows, chart in zip(out, charts, strict=True):
+            center, radius = estimate_domain_ball(chart.predictors)
+            u = (rows - chart.base) @ chart.U
+            assert np.all(np.linalg.norm(u - center, axis=1)
+                          <= radius + 1e-9)
 
     def test_seed_determinism(self):
         trace, cfg = flat_plane_trace()
@@ -163,28 +159,26 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(trace, cfg, K=0)
 
-    def test_every_chart_degenerate_is_insufficient_neighbors(self):
+    def test_every_chart_degenerate_repeats_the_cloud(self):
         # Isolated clusters of d + 1 copies of one point: every epsilon-ball
-        # holds enough points, but every chart's predictors coincide.
+        # holds enough points, but every chart's predictors coincide, so
+        # each chart yields K copies of its base.
         cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
                             max_iter=1)
         cloud = PointCloud(np.repeat(np.eye(3) * 10.0, 2, axis=0))
         trace = DenoiseTrace(clouds=[cloud, cloud],
                              hypers=[GpHyperParams(A=1.0, rho=1.0, sigma=0.1)],
                              predictive_variances=[0.0] * cloud.n)
-        with pytest.warns(UserWarning, match="degenerate domain"), \
-                pytest.raises(InsufficientNeighborsError,
-                              match="every chart's domain is degenerate"):
-            interpolate(trace, cfg, K=2)
+        out = interpolate(trace, cfg, K=3)
+        np.testing.assert_array_equal(out.points,
+                                      np.repeat(cloud.points, 3, axis=0))
 
 
 def assert_matches_full_scan(trace, cfg, K, seed):
-    out, idx = interpolate(trace, cfg, K=K, seed=seed,
-                           return_chart_index=True)
-    points, chart_of = interpolate_full_scan(trace, cfg, K, seed)
-    np.testing.assert_array_equal(out.points, points)
-    np.testing.assert_array_equal(idx, chart_of)
-    return idx
+    out = interpolate(trace, cfg, K=K, seed=seed)
+    np.testing.assert_array_equal(out.points,
+                                  interpolate_full_scan(trace, cfg, K, seed))
+    return out.points
 
 
 class TestGlueLookup:
@@ -196,17 +190,21 @@ class TestGlueLookup:
         assert len(trace.clouds) == 3
         assert_matches_full_scan(trace, cfg, K=20, seed=3)
 
-    def test_skipped_charts_contribute_nothing(self):
-        # Three copies of one far point come first: their charts are skipped
-        # before any chart has produced a point.
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_degenerate_charts_yield_their_point(self, first):
+        # Three copies of one far point, before or after the plane: their
+        # charts' predictors coincide, each yields K copies of the point,
+        # and only the copies' charts can glue to them.
         trace, cfg = flat_plane_trace()
-        cloud = PointCloud(np.vstack([np.tile([10.0, 10.0, 0.0], (3, 1)),
-                                      trace.clouds[-2].points]))
+        far = np.tile([10.0, 10.0, 0.0], (3, 1))
+        parts = [far, trace.clouds[-2].points]
+        cloud = PointCloud(np.vstack(parts if first else parts[::-1]))
         trace = DenoiseTrace(clouds=[cloud, cloud], hypers=trace.hypers,
                              predictive_variances=[0.0] * cloud.n)
-        with pytest.warns(UserWarning, match="degenerate domain"):
-            idx = assert_matches_full_scan(trace, cfg, K=3, seed=1)
-        assert idx.min() == 3
+        K = 3
+        rows = assert_matches_full_scan(trace, cfg, K=K, seed=1)
+        far_rows = rows[:3 * K] if first else rows[-3 * K:]
+        np.testing.assert_array_equal(far_rows, np.tile(far[0], (3 * K, 1)))
 
     def test_every_earlier_point_glues(self, cassini_trace):
         trace, cfg = cassini_trace
