@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dtrtri
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .local_geometry import ChartRegression
 from .point_cloud import _check_real
@@ -56,8 +56,6 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # The fit keeps rho and the profiled A* within e^(+-_LOG_SPAN) of the
 # start's rho and A, so that its search box scales with the data.
 _LOG_SPAN = 40.0
-# exp(_EXP_MIN) is half an ulp of 1; smaller kernel entries are set to 0.
-_EXP_MIN = np.log(0.5 * np.finfo(float).eps)
 # Charts of one size are stacked at most _STACK_ELEMS entries per matrix
 # array.  On gen_torus(5000) with noise 0.12 (epsilon 0.4, delta 0.5) one
 # stack per size took a median 700 ms per stats call against 597 ms, and
@@ -192,6 +190,36 @@ class _Stats(NamedTuple):
     q: int
 
 
+def _default_start(charts: list[ChartRegression]) -> GpHyperParams:
+    """Scale-aware starting point: A the mean square response, rho the
+    median squared distance between two predictors of a chart, sigma a
+    tenth of the signal scale.  A zero median falls back to the largest
+    distance, then to 1, and zero responses to A = rho.
+
+    Raises ValueError if sum |Z|^2 or a squared distance overflows, or if
+    every squared distance underflows to 0 though some chart holds
+    distinct predictors: the coordinates' scale is then outside the range
+    the fit is checked on."""
+    zz = 0.0  # sum of |Z_k|^2, added in chart order
+    for c in charts:
+        zz += float(np.sum(c.responses ** 2))
+    sq = np.concatenate([pdist(c.predictors, "sqeuclidean") for c in charts])
+    over = not (np.isfinite(zz) and np.isfinite(sq).all())
+    # Whether some chart holds two distinct predictors, which squared
+    # distances that underflow to 0 no longer show.
+    spread = any(np.any(c.predictors != c.predictors[0]) for c in charts)
+    if over or spread and not sq.any():
+        raise ValueError(
+            "coordinate scale out of range: squared coordinates "
+            f"{'overflow' if over else 'underflow to 0'}; rescale the "
+            "data into the checked range, 1e-150 to 1e150")
+    rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
+    rho = rho or float(sq.max(initial=0.0)) or 1.0
+    N = sum(c.predictors.shape[0] for c in charts)
+    A = zz / (charts[0].codim * N) or rho
+    return GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
+
+
 class _ChartStack:
     """The charts of a joint fit, each holding at least its base's row,
     grouped by size n, each size split into stacks of at most
@@ -200,68 +228,31 @@ class _ChartStack:
     R with R R^T = Z Z^T.  q is the count of response dimensions: a
     chart's codim, not the D columns of its residuals."""
 
-    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], q: int):
-        self.q = q
-        self.zz = 0.0  # sum of |Z_k|^2, added in chart order
-        for _, z in pairs:
-            self.zz += float(np.sum(z ** 2))
-        # Whether some chart holds two distinct predictors, which squared
-        # distances that underflow to 0 no longer show.
-        self.spread = any(np.any(w != w[0]) for w, _ in pairs)
-        sizes = np.array([w.shape[0] for w, _ in pairs])
+    def __init__(self, charts: list[ChartRegression]):
+        self.q = charts[0].codim
+        sizes = np.array([c.predictors.shape[0] for c in charts])
         self.N = int(sizes.sum())
         self.stacks = []
         for n in np.unique(sizes):
             same = np.flatnonzero(sizes == n)
             per_stack = max(1, _STACK_ELEMS // (n * n))
             for start in range(0, len(same), per_stack):
-                group = [pairs[i] for i in same[start:start + per_stack]]
+                group = [charts[i] for i in same[start:start + per_stack]]
                 self.stacks.append((
-                    np.stack([cdist(w, w, "sqeuclidean") for w, _ in group]),
-                    np.stack([np.linalg.qr(z.T, mode="r").T for _, z in group]),
+                    np.stack([cdist(c.predictors, c.predictors, "sqeuclidean")
+                              for c in group]),
+                    np.stack([np.linalg.qr(c.responses.T, mode="r").T
+                              for c in group]),
                 ))
-
-    @classmethod
-    def of_charts(cls, charts: list[ChartRegression]) -> "_ChartStack":
-        return cls([(c.predictors, c.responses) for c in charts],
-                   charts[0].codim)
-
-    def default_start(self) -> GpHyperParams:
-        """Scale-aware starting point: A the mean square response, rho the
-        median squared distance between two predictors of a chart, sigma
-        a tenth of the signal scale.  A zero median falls back to the
-        largest distance, then to 1, and zero responses to A = rho.
-
-        Raises ValueError if sum |Z|^2 or a squared distance overflows, or
-        if every squared distance underflows to 0 though some chart holds
-        distinct predictors: the coordinates' scale is then outside the
-        range the fit is checked on."""
-        sq = np.concatenate([
-            d.transpose(1, 2, 0)[np.triu_indices(d.shape[1], 1)].ravel()
-            for d, _ in self.stacks])
-        over = not (np.isfinite(self.zz) and np.isfinite(sq).all())
-        if over or self.spread and not sq.any():
-            raise ValueError(
-                "coordinate scale out of range: squared coordinates "
-                f"{'overflow' if over else 'underflow to 0'}; rescale the "
-                "data into the checked range, 1e-150 to 1e150")
-        rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
-        rho = rho or float(sq.max(initial=0.0)) or 1.0
-        A = self.zz / (self.q * self.N) or rho
-        return GpHyperParams(A=A, rho=rho, sigma=0.1 * np.sqrt(A))
 
     def stats(self, rho: float, s: float) -> _Stats:
         T = logdet = 0.0
         U = np.zeros(2)
         V = np.zeros(2)
         for sq, R in self.stacks:
-            # Kernel entries below half an ulp of the unit diagonal are set
-            # to 0: subnormal results would slow exp and every product after
-            # it several times over.
+            # M = K0 + s I with K0 = exp(-sq / rho), formed as predictive does.
             G = sq * (-1.0 / rho)
-            np.maximum(G, _EXP_MIN, out=G)
             M = np.exp(G)
-            M *= G > _EXP_MIN
             G *= M
             G *= -1.0  # dM/dlog rho
             np.einsum("bii->bi", M)[...] += s
@@ -332,18 +323,20 @@ class _Search:
 
     def __init__(self, stack: _ChartStack, init: GpHyperParams):
         self.stack, self.qN = stack, stack.q * stack.N
-        # Python floats: A's bounds go to 0 or inf without a warning, and
-        # an infinite bound is no bound.
+        # Python floats: A's upper bound goes to inf without a warning, and
+        # an infinite bound is no bound.  The lower one stays above 0, so
+        # that all-zero responses never profile A* = 0 and divide by it.
         log_rho, span = math.log(init.rho), math.exp(_LOG_SPAN)
-        self.A_box = (init.A / span, init.A * span)
+        self.A_box = (max(init.A / span, math.ulp(0.0)), init.A * span)
         self.bounds = [(log_rho - _LOG_SPAN, log_rho + _LOG_SPAN),
                        (math.log(S_FLOOR), -math.log(S_FLOOR))]
         self.last = self.best = (np.inf, None, None, None)
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        # Near the largest floats T, A* or sigma can overflow: such a point
-        # is infeasible, as one whose matrices do not factor is.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Near the largest floats T, A* or sigma can overflow, and near the
+        # smallest rho = e^theta can underflow to 0: such a point is
+        # infeasible, as one whose matrices do not factor is.
+        with np.errstate(all="ignore"):
             rho, s = np.exp(theta)
             try:
                 st = self.stack.stats(rho, s)
@@ -403,7 +396,7 @@ def fit_hyperparams(
 
     A is profiled out, and the search is over (log rho, log s), s =
     sigma^2 / A.  Each parameter's box is relative to the init (by
-    default the chart stack's default_start): rho within e^(+-40) of its
+    default _default_start(charts)): rho within e^(+-40) of its
     rho, A* within e^(+-40) of its A, and s in [S_FLOOR, 1 / S_FLOOR].
     So c X fits c^2 A, c^2 rho and c sigma.
 
@@ -418,15 +411,14 @@ def fit_hyperparams(
     gradient.  Deterministic.  The charts are
     those of build_charts: at least one, each holding a row.
     """
-    stack = _ChartStack.of_charts(charts)
-    init = init or stack.default_start()
+    init = init or _default_start(charts)
     t0 = np.log([init.rho, init.s])
-    screen = _Search(_ChartStack.of_charts(_net(charts)), init)
+    screen = _Search(_ChartStack(_net(charts)), init)
     for t in [t0] + [t0 + sign * step for step in np.diag(np.log([10.0, 100.0]))
                      for sign in (-1.0, 1.0)]:
         screen.lbfgs(t)
     winner = t0 if screen.best[1] is None else screen.best[1]
-    full = _Search(stack, init)
+    full = _Search(_ChartStack(charts), init)
     if not np.array_equal(winner, t0):
         full(t0)
     full.lbfgs(winner)

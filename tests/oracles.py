@@ -29,7 +29,7 @@ from scipy.spatial.distance import cdist
 from mrgap import gp
 from mrgap.evaluation import GrmseReport, grmse
 from mrgap.interpolator import estimate_domain_ball, sample_ball_uniform
-from mrgap.local_geometry import build_charts
+from mrgap.local_geometry import ChartRegression, build_charts
 
 
 def radius_neighbors(points, center, r):
@@ -267,7 +267,14 @@ def _single(train_w, train_z, hyper):
     train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
     if train_w.shape[0] < 1:
         raise ValueError("need at least one training point")
-    stack = gp._ChartStack([(train_w, train_z)], train_z.shape[1])
+    # A one-chart stack: predictors train_w on the first d axes, responses
+    # train_z on the q after them.
+    (N, d), q = train_w.shape, train_z.shape[1]
+    chart = ChartRegression(
+        base=np.zeros(d + q), U=np.eye(d + q)[:, :d], predictors=train_w,
+        responses=np.hstack([np.zeros((N, d)), train_z]),
+        member_indices=np.arange(N))
+    stack = gp._ChartStack([chart])
     return gp._value_grad(stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A),
                           hyper.A)
 
@@ -290,7 +297,7 @@ def joint_log_marginal(charts, hyper):
     """Sum of per-chart log marginal likelihoods under shared hyperparameters."""
     if not charts:
         raise ValueError("charts list is empty")
-    stack = gp._ChartStack.of_charts(charts)
+    stack = gp._ChartStack(charts)
     st = stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A)
     return float(gp._value_grad(st, hyper.A)[0])
 
@@ -326,8 +333,8 @@ def five_start_fit(charts, init=None):
     in the same boxes as gp.fit_hyperparams, keeping the best point
     evaluated.  Returns that point and, per start, the scaled log
     likelihood its run ended at."""
-    stack = gp._ChartStack.of_charts(charts)
-    init = init or stack.default_start()
+    stack = gp._ChartStack(charts)
+    init = init or gp._default_start(charts)
     init = gp.GpHyperParams(init.A, init.rho, max(
         init.sigma, float(np.sqrt(gp.S_FLOOR * init.A))))
     qN = stack.q * stack.N

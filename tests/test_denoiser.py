@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,51 @@ class TestDenoise:
         assert err.startswith("error: coordinate scale out of range")
         assert f"squared coordinates {word};" in err and "A " not in err
         assert not out.exists()
+
+    # A flat cloud's responses are all 0, so its start has A = rho, and
+    # within the checked range A0 e^-40 can underflow to 0: the profiled A*
+    # must stay a positive float there.
+    @staticmethod
+    def flat_cloud(d, c):
+        xy = np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, d))
+        return PointCloud(c * np.column_stack([xy, np.zeros((200, 3 - d))]))
+
+    @pytest.mark.parametrize("d, c", [(2, 2.0 ** -482), (2, 2.0 ** -512),
+                                      (1, 2.0 ** -480)],
+                             ids=["plane-2^-482", "plane-2^-512",
+                                  "line-2^-480"])
+    def test_flat_cloud_at_tiny_scale_denoises_to_itself(self, d, c):
+        cloud = self.flat_cloud(d, c)
+        trace = denoise(cloud, DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c,
+                                             intrinsic_dim=d, max_iter=2))
+        assert trace.rounds == 2
+        np.testing.assert_allclose(trace.clouds[-1].points / c,
+                                   cloud.points / c, rtol=0, atol=1e-15)
+
+    def test_cli_flat_cloud_at_tiny_scale_exits_0(self, tmp_path):
+        c = 2.0 ** -482
+        noisy, out = tmp_path / "flat.csv", tmp_path / "den.csv"
+        save_csv(self.flat_cloud(2, c), noisy)
+        assert cli.main(["denoise", "--in", str(noisy), "--epsilon",
+                         repr(0.3 * c), "--delta", repr(0.6 * c), "--d", "2",
+                         "--max-iter", "2", "--out", str(out)]) == 0
+        np.testing.assert_allclose(np.loadtxt(out, delimiter=",") / c,
+                                   np.loadtxt(noisy, delimiter=",") / c,
+                                   rtol=0, atol=1e-15)
+
+    # Below the checked range, but above where the start fails loudly, a
+    # search point's rho = e^theta can underflow to 0.  That point is
+    # infeasible like one that does not factor, with no RuntimeWarning.
+    @pytest.mark.parametrize("c", [2.0 ** -534, 2.0 ** -537],
+                             ids=["2^-534", "2^-537"])
+    def test_rho_underflow_is_factorization_error(self, c):
+        cfg = DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c, intrinsic_dim=1,
+                            max_iter=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gp.FactorizationError,
+                               match="^no point the fit evaluated factored$"):
+                denoise(self.out_of_range_cloud(c), cfg)
 
     def test_denoised_cloud_is_the_reconstruction_at_its_bases(self):
         # The README's chain.  The charts of clouds[-2] at hypers[-1] are

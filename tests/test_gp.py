@@ -322,7 +322,7 @@ class TestJointAndFit:
         np.testing.assert_allclose(joint_log_marginal([chart], HYPER),
                                    dense_log_marginal_oracle(w, z, HYPER),
                                    rtol=1e-10)
-        start = gp._ChartStack.of_charts([chart]).default_start()
+        start = gp._default_start([chart])
         np.testing.assert_allclose(start.A, np.mean(z ** 2), rtol=1e-12)
 
     def test_fit_improves_objective(self):
@@ -417,30 +417,36 @@ def dense_joint(charts, hyper):
 
 class TestStackedKernel:
     def test_value_and_gradient_match_dense_oracle(self):
+        # At rho = 0.012 about 90% of the off-diagonal kernel entries lie
+        # below an ulp of the unit diagonal, hundreds of them subnormal.
         charts = stacked_charts()
-        theta = np.log([1.3, 0.7, 0.2 ** 2 / 1.3])
-        hyper = hyper_from(theta)
-        stack = gp._ChartStack.of_charts(charts)
+        stack = gp._ChartStack(charts)
         assert [sq.shape[1] for sq, _ in stack.stacks].count(40) == 2
-        value, grad = gp._value_grad(
-            stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
-        np.testing.assert_allclose(value, dense_joint(charts, hyper),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(joint_log_marginal(charts, hyper), value,
-                                   rtol=1e-12)
-        h = 1e-5
-        fd = np.empty(3)
-        for i in range(3):
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd[i] = (dense_joint(charts, hyper_from(tp))
-                     - dense_joint(charts, hyper_from(tm))) / (2 * h)
-        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+        K0 = np.exp(-np.concatenate([sq.ravel() for sq, _ in stack.stacks])
+                    / 0.012)
+        assert np.count_nonzero((K0 > 0) & (K0 < np.finfo(float).tiny)) > 100
+        for rho in (0.7, 0.012):
+            theta = np.log([1.3, rho, 0.2 ** 2 / 1.3])
+            hyper = hyper_from(theta)
+            value, grad = gp._value_grad(
+                stack.stats(hyper.rho, hyper.sigma ** 2 / hyper.A), hyper.A)
+            np.testing.assert_allclose(value, dense_joint(charts, hyper),
+                                       rtol=1e-10)
+            np.testing.assert_allclose(joint_log_marginal(charts, hyper),
+                                       value, rtol=1e-12)
+            h = 1e-5
+            fd = np.empty(3)
+            for i in range(3):
+                tp, tm = theta.copy(), theta.copy()
+                tp[i] += h
+                tm[i] -= h
+                fd[i] = (dense_joint(charts, hyper_from(tp))
+                         - dense_joint(charts, hyper_from(tm))) / (2 * h)
+            np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
 
     def test_stacks_hold_charts_of_one_exact_size(self):
         charts = stacked_charts()
-        stack = gp._ChartStack.of_charts(charts)
+        stack = gp._ChartStack(charts)
         rows = 0
         for sq, R in stack.stacks:
             B, n = sq.shape[:2]
@@ -452,7 +458,7 @@ class TestStackedKernel:
 
     def test_stats_temporaries_stay_small(self):
         # Stacks of 20 charts peak at 1.8 MB; one stack of all 400 at 26.6 MB.
-        stack = gp._ChartStack.of_charts(same_size_charts(26, 400))
+        stack = gp._ChartStack(same_size_charts(26, 400))
         tracemalloc.start()
         try:
             stack.stats(0.7, 0.03)
@@ -487,7 +493,7 @@ class TestStackedKernel:
 
     def test_failed_inverse_raises_factorization_error(self, monkeypatch):
         monkeypatch.setattr(gp, "dtrtri", lambda l, lower: (l, 1))
-        stack = gp._ChartStack.of_charts(mixed_charts(20))
+        stack = gp._ChartStack(mixed_charts(20))
         with pytest.raises(FactorizationError, match="info 1"):
             stack.stats(0.7, 0.03)
 
@@ -518,7 +524,7 @@ class TestStackedKernel:
         rng = np.random.default_rng(6)
         w = rng.normal(size=(5, 2))
         chart = make_chart(np.vstack([w, w[:1]]), rng.normal(size=(6, 1)))
-        stack = gp._ChartStack.of_charts([chart])
+        stack = gp._ChartStack([chart])
         with pytest.raises(FactorizationError, match="Cholesky failed"):
             stack.stats(0.5, -0.5)
 
@@ -596,8 +602,9 @@ def test_round_one_charts_factor_at_the_noise_floor(seed):
     for cloud, epsilon, delta, d in [(cassini, 0.3, 0.6, 1),
                                      (twice, 0.3, 0.6, 1),
                                      (gen_torus(300, seed=seed), 0.8, 1.0, 2)]:
-        stack = gp._ChartStack.of_charts(build_charts(cloud, epsilon, delta, d))
-        rho = stack.default_start().rho
+        charts = build_charts(cloud, epsilon, delta, d)
+        stack = gp._ChartStack(charts)
+        rho = gp._default_start(charts).rho
         for k in range(-40, 41, 10):
             assert np.isfinite(stack.stats(rho * np.exp(k), S_FLOOR).T)
 
@@ -679,10 +686,9 @@ def test_fit_is_no_worse_than_five_start_oracle(case, two_optima):
                  id="one-point-zero-responses"),
 ])
 def test_default_start_equals_chart_by_chart_oracle(charts):
-    # The stack reuses the squared distances it keeps for the likelihood;
-    # the start must be bitwise the one computed chart by chart.
+    # The start must be bitwise the one computed chart by chart.
     charts = charts()
-    assert gp._ChartStack.of_charts(charts).default_start() == \
+    assert gp._default_start(charts) == \
         default_init(charts)
 
 
@@ -708,7 +714,7 @@ def test_every_stats_call_is_one_the_fit_asked_for(monkeypatch):
     monkeypatch.setattr(gp._ChartStack, "stats", stats_spy)
     monkeypatch.setattr(gp, "minimize", minimize_spy)
     charts = noisy_charts(gen_cassini, 102, 0.04, 0.3, 0.6, 1)
-    init = gp._ChartStack.of_charts(charts).default_start()
+    init = gp._default_start(charts)
     fit_hyperparams(charts)
     net, full = calls[0][0], calls[-1][0]
     assert net.N < full.N
@@ -800,7 +806,7 @@ def test_tiny_responses_leave_the_start():
     rng = np.random.default_rng(11)
     charts = [make_chart(rng.normal(size=(8, 2)),
                          1e-20 * rng.normal(size=(8, 1))) for _ in range(6)]
-    start = gp._ChartStack.of_charts(charts).default_start()
+    start = gp._default_start(charts)
     fitted = fit_hyperparams(charts)
     assert joint_log_marginal(charts, fitted) > \
         joint_log_marginal(charts, start)
