@@ -10,6 +10,7 @@ in the normal space: no point moves along its own tangent directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,44 @@ def denoise_round(cloud: PointCloud, config: DenoiseConfig,
     return PointCloud(np.vstack(points)), hyper, np.concatenate(variances)
 
 
+def _at_unit_scale(cloud: PointCloud, config: DenoiseConfig,
+                   hyper: gp.GpHyperParams | None = None):
+    """(cloud, config, hyper, back) at unit scale: lengths times 2^-e, A and
+    rho times 4^-e, e the frexp exponent of max |x| (0 if all x are 0).
+    back(points, fits, variances) scales outputs back, points in place.  A
+    power of 2 scales exactly, so 2^k X gives 2^k times the outputs.  A is
+    kept positive: a flat cloud's A, its box's lower bound, underflows."""
+    e = math.frexp(float(np.max(np.abs(cloud.points))))[1]
+
+    def scaled(make, k, *values):  # make(*values), each (x, p) as x 2^(p k)
+        try:
+            return make(*(math.ldexp(x, p * k) for x, p in values))
+        except (OverflowError, ValueError):
+            raise ValueError(f"coordinate scale out of range: max |x| = "
+                             f"{np.max(np.abs(cloud.points)):.3g}") from None
+
+    def fit(h, k):
+        return scaled(lambda A, rho, sigma: gp.GpHyperParams(
+            max(A, math.ulp(0.0)), rho, sigma), k, (h.A, 2), (h.rho, 2),
+            (h.sigma, 1))
+
+    def back(points, hypers=(), variances=()):
+        return ([PointCloud(np.ldexp(p, e, out=p)) for p in points],
+                [fit(h, e) for h in hypers], np.ldexp(variances, 2 * e))
+
+    unit = scaled(lambda epsilon, delta: DenoiseConfig(
+        epsilon, delta, config.intrinsic_dim, config.sigma_tol and
+        math.ldexp(config.sigma_tol, -e), config.max_iter), -e,
+        (config.epsilon, 1), (config.delta, 1))
+    return (PointCloud(np.ldexp(cloud.points, -e)), unit,
+            hyper and fit(hyper, -e), back)
+
+
 def denoise(cloud: PointCloud, config: DenoiseConfig) -> DenoiseTrace:
-    """Run denoising rounds until |sigma_i - sigma_{i-1}| <= sigma_tol or
-    max_iter is reached, recording every intermediate cloud."""
-    clouds = [cloud]
-    hypers: list[gp.GpHyperParams] = []
+    """Run denoising rounds, at unit scale, until |sigma_i - sigma_{i-1}|
+    <= sigma_tol or max_iter is reached, recording every intermediate cloud."""
+    unit_cloud, config, _, back = _at_unit_scale(cloud, config)
+    clouds, hypers = [unit_cloud], []
     tol = config.sigma_tol
     for _ in range(config.max_iter):
         new_cloud, hyper, var = denoise_round(
@@ -103,4 +137,6 @@ def denoise(cloud: PointCloud, config: DenoiseConfig) -> DenoiseTrace:
         if len(hypers) >= 2 and abs(hypers[-1].sigma - hypers[-2].sigma) <= tol:
             break
     # max_iter >= 1, so var holds the last round's variances.
-    return DenoiseTrace(clouds, hypers, list(var))
+    clouds, hypers, var = back([np.array(c.points) for c in clouds[1:]],
+                               hypers, var)
+    return DenoiseTrace([cloud] + clouds, hypers, list(var))

@@ -194,25 +194,11 @@ def _default_start(charts: list[ChartRegression]) -> GpHyperParams:
     """Scale-aware starting point: A the mean square response, rho the
     median squared distance between two predictors of a chart, sigma a
     tenth of the signal scale.  A zero median falls back to the largest
-    distance, then to 1, and zero responses to A = rho.
-
-    Raises ValueError if sum |Z|^2 or a squared distance overflows, or if
-    every squared distance underflows to 0 though some chart holds
-    distinct predictors: the coordinates' scale is then outside the range
-    the fit is checked on."""
+    distance, then to 1 (in units of max |x|); zero responses give A = rho."""
     zz = 0.0  # sum of |Z_k|^2, added in chart order
     for c in charts:
         zz += float(np.sum(c.responses ** 2))
     sq = np.concatenate([pdist(c.predictors, "sqeuclidean") for c in charts])
-    over = not (np.isfinite(zz) and np.isfinite(sq).all())
-    # Whether some chart holds two distinct predictors, which squared
-    # distances that underflow to 0 no longer show.
-    spread = any(np.any(c.predictors != c.predictors[0]) for c in charts)
-    if over or spread and not sq.any():
-        raise ValueError(
-            "coordinate scale out of range: squared coordinates "
-            f"{'overflow' if over else 'underflow to 0'}; rescale the "
-            "data into the checked range, 1e-150 to 1e150")
     rho = float(np.median(sq, overwrite_input=True)) if sq.size else 0.0
     rho = rho or float(sq.max(initial=0.0)) or 1.0
     N = sum(c.predictors.shape[0] for c in charts)
@@ -323,36 +309,25 @@ class _Search:
 
     def __init__(self, stack: _ChartStack, init: GpHyperParams):
         self.stack, self.qN = stack, stack.q * stack.N
-        # Python floats: A's upper bound goes to inf without a warning, and
-        # an infinite bound is no bound.  The lower one stays above 0, so
-        # that all-zero responses never profile A* = 0 and divide by it.
         log_rho, span = math.log(init.rho), math.exp(_LOG_SPAN)
-        self.A_box = (max(init.A / span, math.ulp(0.0)), init.A * span)
+        self.A_box = (init.A / span, init.A * span)
         self.bounds = [(log_rho - _LOG_SPAN, log_rho + _LOG_SPAN),
                        (math.log(S_FLOOR), -math.log(S_FLOOR))]
         self.last = self.best = (np.inf, None, None, None)
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        # Near the largest floats T, A* or sigma can overflow, and near the
-        # smallest rho = e^theta can underflow to 0: such a point is
-        # infeasible, as one whose matrices do not factor is.
-        with np.errstate(all="ignore"):
-            rho, s = np.exp(theta)
-            try:
-                st = self.stack.stats(rho, s)
-            except FactorizationError:
-                return np.inf, np.zeros(2)
-            A = float(np.clip(st.T / self.qN, *self.A_box))
-            # At a clamped A this is the full likelihood, else the profiled
-            # one (whose gradient the envelope theorem makes the fixed-A
-            # gradient).
-            value, grad = _value_grad(st, A)
-            f, g = -value / self.qN, -grad[1:] / self.qN
-            sigma = float(np.sqrt(s * A))
-        if not np.all(np.isfinite([A, sigma, f, *g])):
+        rho, s = np.exp(theta)
+        try:
+            st = self.stack.stats(rho, s)
+        except FactorizationError:
             return np.inf, np.zeros(2)
+        A = float(np.clip(st.T / self.qN, *self.A_box))
+        # At a clamped A this is the full likelihood, else the profiled one
+        # (whose gradient the envelope theorem makes the fixed-A gradient).
+        value, grad = _value_grad(st, A)
+        f, g = -value / self.qN, -grad[1:] / self.qN
         self.last = (f, np.array(theta), g,
-                     GpHyperParams(A, float(rho), sigma))
+                     GpHyperParams(A, float(rho), float(np.sqrt(s * A))))
         if self.best[3] is None or \
                 f < self.best[0] - _ROUNDING * (1.0 + abs(self.best[0])):
             self.best = self.last
@@ -407,9 +382,8 @@ def fit_hyperparams(
     the result is never worse than the init by more than rounding, and
     its gradient, not a stopping rule, fixes it: the order of the charts
     moves it by rounding only.  It raises FactorizationError if no point
-    evaluated on all charts factors with finite A*, sigma, objective and
-    gradient.  Deterministic.  The charts are
-    those of build_charts: at least one, each holding a row.
+    evaluated on all charts factors.  Deterministic.  The charts are those
+    of build_charts, at unit scale (denoiser._at_unit_scale).
     """
     init = init or _default_start(charts)
     t0 = np.log([init.rho, init.s])

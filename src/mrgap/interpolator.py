@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gp
-from .denoiser import DenoiseConfig, DenoiseTrace
+from .denoiser import DenoiseConfig, DenoiseTrace, _at_unit_scale
 from .local_geometry import build_charts
 from .point_cloud import PointCloud, _check_count
 
@@ -55,8 +55,8 @@ def interpolate(
     radius-0 ball, so its K points are its surface at that one point."""
     _check_count(K, "K")
     _check_count(seed, "seed", 0)
-    cloud = trace.clouds[-2]
-    hyper = trace.hypers[-1]
+    cloud, config, hyper, back = _at_unit_scale(trace.clouds[-2], config,
+                                                trace.hypers[-1])
     D = cloud.ambient_dim
     chart_seeds = np.random.SeedSequence(seed).generate_state(cloud.n, dtype=np.uint64)
 
@@ -86,4 +86,4 @@ def interpolate(
             raise gp.FactorizationError(f"chart {k}: {exc}") from exc
         reach[k] = np.max(np.linalg.norm(out[k] - chart.base, axis=1))
 
-    return PointCloud(out.reshape(-1, D))
+    return back([out.reshape(-1, D)])[0][0]

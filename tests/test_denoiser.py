@@ -1,11 +1,13 @@
 import functools
+import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from mrgap import cli, gp
-from mrgap.denoiser import DenoiseConfig, denoise, denoise_round
+from mrgap.denoiser import DenoiseConfig, DenoiseTrace, denoise, denoise_round
 from mrgap.evaluation import grmse
 from mrgap.interpolator import interpolate
 from mrgap.local_geometry import InsufficientNeighborsError, build_charts
@@ -59,6 +61,103 @@ def cassini_run(c):
                         max_iter=2)
     trace = denoise(PointCloud(c * noisy.points), cfg)
     return trace, interpolate(trace, cfg, K=3, seed=1)
+
+
+def ldexp_fit(h, k):
+    """The fit of a cloud scaled by 2^k: A and rho times 4^k, sigma 2^k."""
+    return gp.GpHyperParams(math.ldexp(h.A, 2 * k), math.ldexp(h.rho, 2 * k),
+                            math.ldexp(h.sigma, k))
+
+
+def ldexp_trace(trace, k):
+    return DenoiseTrace([PointCloud(np.ldexp(c.points, k))
+                         for c in trace.clouds],
+                        [ldexp_fit(h, k) for h in trace.hypers],
+                        list(np.ldexp(trace.predictive_variances, 2 * k)))
+
+
+def power_of_two_config(k):
+    return DenoiseConfig(epsilon=math.ldexp(0.3, k), delta=math.ldexp(0.6, k),
+                         intrinsic_dim=1, max_iter=2)
+
+
+@functools.cache
+def power_of_two_run(seed, k):
+    """Two denoising rounds and K = 3 interpolation of noisy Cassini scaled
+    by 2^k, with epsilon and delta scaled alike."""
+    noisy = add_gaussian_noise(gen_cassini(102, seed=seed),
+                               NoiseSpec(0.04, seed + 1))
+    trace = denoise(PointCloud(np.ldexp(noisy.points, k)),
+                    power_of_two_config(k))
+    return trace, interpolate(trace, power_of_two_config(k), K=3, seed=1)
+
+
+# 2^-509 is the smallest of these scales whose fits are normal floats in
+# the caller's units.  At 2^-534 A and rho are subnormal, rounded to a few
+# bits, so a trace holds them rounded, and interpolate is compared with
+# its output on that trace scaled by 2^534, not on the unscaled cloud's.
+POWERS = [-534, -509, 3, 504, 511]
+NORMAL = -509
+
+
+class TestPowerOfTwoScaling:
+    """Denoise and interpolate run at unit scale, which scaling by a power
+    of 2 does not change: the outputs on 2^k X are 2^k times those on X,
+    bitwise, with A, rho and the variances times 4^k and sigma times 2^k."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", POWERS, ids=[f"2^{k}" for k in POWERS])
+    def test_denoise_and_interpolate_are_exact(self, k, seed):
+        (trace_x, dense_x), (trace_y, dense_y) = (power_of_two_run(seed, 0),
+                                                  power_of_two_run(seed, k))
+        assert trace_y.rounds == trace_x.rounds == 2
+        want = ldexp_trace(trace_x, k)
+        for a, b in zip(want.clouds[1:], trace_y.clouds[1:]):
+            assert a.points.tobytes() == b.points.tobytes()
+        assert want.hypers == trace_y.hypers
+        assert np.array_equal(want.predictive_variances,
+                              trace_y.predictive_variances)
+        if k < NORMAL:
+            dense_x = interpolate(ldexp_trace(trace_y, -k),
+                                  power_of_two_config(0), K=3, seed=1)
+        assert dense_y.points.tobytes() == \
+            np.ldexp(dense_x.points, k).tobytes()
+
+    @pytest.mark.parametrize("k", POWERS, ids=[f"2^{k}" for k in POWERS])
+    def test_cli_round_trip_is_exact(self, tmp_path, k):
+        noisy = add_gaussian_noise(gen_cassini(102, seed=7), NoiseSpec(0.04, 8))
+
+        def interpolated(trace):
+            assert cli.main(["interpolate", "--trace", str(trace), "--k", "3",
+                             "--seed", "1", "--out", str(trace) + ".csv"]) == 0
+            return np.loadtxt(str(trace) + ".csv", delimiter=",")
+
+        def run(j):
+            cfg = power_of_two_config(j)
+            inp, den = tmp_path / f"in{j}.csv", tmp_path / f"den{j}.csv"
+            save_csv(np.ldexp(noisy.points, j), inp)
+            assert cli.main(["denoise", "--in", str(inp), "--epsilon",
+                             repr(cfg.epsilon), "--delta", repr(cfg.delta),
+                             "--d", "1", "--max-iter", "2", "--out", str(den),
+                             "--trace-out", str(tmp_path / f"t{j}.json")]) == 0
+            with open(tmp_path / f"t{j}.json") as fh:
+                return np.loadtxt(den, delimiter=","), json.load(fh)
+
+        (den_x, doc_x), (den_y, doc_y) = run(0), run(k)
+        assert den_y.tobytes() == np.ldexp(den_x, k).tobytes()
+        trace_x, cfg = cli.trace_from_json(doc_x)
+        trace_y, _ = cli.trace_from_json(doc_y)
+        assert cli.trace_to_json(ldexp_trace(trace_x, k), cfg)["hypers"] == \
+            doc_y["hypers"]
+        assert doc_y["predictive_variances"] == list(
+            np.ldexp(doc_x["predictive_variances"], 2 * k))
+        ref = tmp_path / "t0.json"
+        if k < NORMAL:
+            ref = tmp_path / "back.json"
+            ref.write_text(json.dumps(
+                cli.trace_to_json(ldexp_trace(trace_y, -k), cfg)))
+        assert interpolated(tmp_path / f"t{k}.json").tobytes() == \
+            np.ldexp(interpolated(ref), k).tobytes()
 
 
 class TestConfig:
@@ -270,22 +369,18 @@ class TestDenoise:
                                    shrink * np.array(trace_a.predictive_variances),
                                    rtol=1e-9)
 
-    # Just past the checked range the outputs go wrong with no warning or
-    # error: at c = 2^504 the denoised cloud is ~3% of max |x| off.  Below
-    # it, c = 2^-507 to 2^-509 put rho0 e^-40, the search box's lower rho
-    # bound, under the smallest float: the box must not take its log.
+    # Both edges of the old search box's float range: the start's rho0
+    # e^-40 under the smallest float (2^-507 to 2^-509), and the silent
+    # error of ~3% of max |x| that 2^504 gave before the fit ran at unit
+    # scale.
     @pytest.mark.parametrize("c", [1e-150, 1e-12, 1e-9, 1e-6, 1e6, 1e9,
-                                   1e12, 1e150, pytest.param(
-                                       2.0 ** 504, id="2^504",
-                                       marks=pytest.mark.xfail(
-                                           strict=True, raises=AssertionError,
-                                           reason="ROADMAP item 10"))]
-                             + [pytest.param(2.0 ** -e, id=f"2^-{e}")
-                                for e in (507, 508, 509)])
+                                   1e12, 1e150]
+                             + [pytest.param(2.0 ** e, id=f"2^{e}")
+                                for e in (504, -507, -508, -509)])
     def test_scale_equivariance_at_extreme_scales(self, c):
-        # The fit's search box is relative to the data, so no bound binds
-        # in one unit and not in another: c X denoises and interpolates to
-        # c times the outputs at c = 1.
+        # The fit runs at unit scale, so no bound binds in one unit and not
+        # in another: c X denoises and interpolates to c times the outputs
+        # at c = 1.
         (trace_a, dense_a), (trace_b, dense_b) = cassini_run(1.0), cassini_run(c)
         assert trace_a.rounds == trace_b.rounds == 2
         for a, b in ((trace_a.clouds[-1], trace_b.clouds[-1]),
@@ -297,28 +392,44 @@ class TestDenoise:
                 [hb.rho / c ** 2, hb.A / c ** 2, hb.sigma / c],
                 [ha.rho, ha.A, ha.sigma], rtol=1e-6)
 
-    # Beyond the checked range the first fit's start fails loudly: at
-    # c = 2^510 sum |Z|^2 overflows, and at c = 2^-540 every squared
-    # distance between a chart's predictors underflows to 0.
-    OUT_OF_RANGE = [(2.0 ** 510, "overflow"), (2.0 ** -540, "underflow to 0")]
+    # Past the float range a fit cannot be written in the caller's units,
+    # and denoise refuses it.  On noisy Cassini seed 7 rho overflows at
+    # c = 2^514, and underflows to 0 at 2^-537 and 2^-540.
+    OUT_OF_RANGE = [pytest.param(2.0 ** e, id=f"2^{e}")
+                    for e in (514, -537, -540)]
 
     @staticmethod
     def out_of_range_cloud(c):
         noisy = add_gaussian_noise(gen_cassini(102, seed=7), NoiseSpec(0.04, 8))
         return PointCloud(c * noisy.points)
 
-    @pytest.mark.parametrize("c, word", OUT_OF_RANGE, ids=["2^510", "2^-540"])
-    def test_scale_outside_checked_range_raises(self, c, word):
+    @pytest.mark.parametrize("c", OUT_OF_RANGE)
+    def test_scale_outside_checked_range_raises(self, c):
         cfg = DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c, intrinsic_dim=1,
                             max_iter=2)
-        with pytest.raises(ValueError, match=(
-                f"^coordinate scale out of range: squared coordinates {word}; "
-                "rescale the data into the checked range, 1e-150 to 1e150$")):
-            denoise(self.out_of_range_cloud(c), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^coordinate scale out of range: max [|]x[|] = \S+$")):
+                denoise(self.out_of_range_cloud(c), cfg)
 
-    @pytest.mark.parametrize("c, word", OUT_OF_RANGE, ids=["2^510", "2^-540"])
+    def test_length_out_of_range_at_unit_scale_raises(self):
+        # Brought to unit scale (times 2^995 here), epsilon 1e10 and the
+        # trace's A = 1 overflow: the same refusal.
+        cloud = PointCloud(1e-300 * np.random.default_rng(0).normal(
+            size=(20, 3)))
+        with pytest.raises(ValueError, match="^coordinate scale out of range"):
+            denoise(cloud, DenoiseConfig(epsilon=1e10, delta=2e10,
+                                         intrinsic_dim=1))
+        trace = DenoiseTrace([cloud, cloud], [gp.GpHyperParams(1.0, 1.0, 0.1)],
+                             [0.0] * 20)
+        with pytest.raises(ValueError, match="^coordinate scale out of range"):
+            interpolate(trace, DenoiseConfig(epsilon=1e-300, delta=2e-300,
+                                             intrinsic_dim=1), K=2)
+
+    @pytest.mark.parametrize("c", OUT_OF_RANGE)
     def test_cli_scale_outside_checked_range_exits_2(self, tmp_path, capsys,
-                                                     c, word):
+                                                     c):
         noisy, out = tmp_path / "noisy.csv", tmp_path / "den.csv"
         save_csv(self.out_of_range_cloud(c), noisy)
         assert cli.main(["denoise", "--in", str(noisy), "--epsilon",
@@ -327,21 +438,23 @@ class TestDenoise:
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.count("\n") == 1
         assert err.startswith("error: coordinate scale out of range")
-        assert f"squared coordinates {word};" in err and "A " not in err
+        assert "A " not in err and "rho" not in err
         assert not out.exists()
 
-    # A flat cloud's responses are all 0, so its start has A = rho, and
-    # within the checked range A0 e^-40 can underflow to 0: the profiled A*
-    # must stay a positive float there.
+    # A flat cloud's responses are all 0, so its A is the lower bound of
+    # its search box, which underflows in the caller's units at the
+    # smallest scales: A stays a positive float there.
     @staticmethod
     def flat_cloud(d, c):
         xy = np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, d))
         return PointCloud(c * np.column_stack([xy, np.zeros((200, 3 - d))]))
 
     @pytest.mark.parametrize("d, c", [(2, 2.0 ** -482), (2, 2.0 ** -512),
-                                      (1, 2.0 ** -480)],
+                                      (1, 2.0 ** -480), (2, 2.0 ** -520),
+                                      (2, 2.0 ** -534), (2, 2.0 ** 511)],
                              ids=["plane-2^-482", "plane-2^-512",
-                                  "line-2^-480"])
+                                  "line-2^-480", "plane-2^-520",
+                                  "plane-2^-534", "plane-2^511"])
     def test_flat_cloud_at_tiny_scale_denoises_to_itself(self, d, c):
         cloud = self.flat_cloud(d, c)
         trace = denoise(cloud, DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c,
@@ -361,19 +474,21 @@ class TestDenoise:
                                    np.loadtxt(noisy, delimiter=",") / c,
                                    rtol=0, atol=1e-15)
 
-    # Below the checked range, but above where the start fails loudly, a
-    # search point's rho = e^theta can underflow to 0.  That point is
-    # infeasible like one that does not factor, with no RuntimeWarning.
-    @pytest.mark.parametrize("c", [2.0 ** -534, 2.0 ** -537],
-                             ids=["2^-534", "2^-537"])
-    def test_rho_underflow_is_factorization_error(self, c):
-        cfg = DenoiseConfig(epsilon=0.3 * c, delta=0.6 * c, intrinsic_dim=1,
+    @pytest.mark.parametrize("value", [0.0, 3.0])
+    def test_coincident_points_denoise_and_interpolate_to_themselves(
+            self, value):
+        # Every chart is one point repeated: its residuals are 0 and its
+        # predictors coincide, so the start's rho falls back to 1 in units
+        # of max |x| (frexp(3) = 0.75 * 2^2: rho = 16 for the points at 3).
+        cloud = PointCloud(np.full((20, 3), value))
+        cfg = DenoiseConfig(epsilon=0.3, delta=0.6, intrinsic_dim=1,
                             max_iter=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(gp.FactorizationError,
-                               match="^no point the fit evaluated factored$"):
-                denoise(self.out_of_range_cloud(c), cfg)
+        trace = denoise(cloud, cfg)
+        assert trace.rounds == 2 and trace.clouds[0] is cloud
+        assert trace.clouds[-1].points.tobytes() == cloud.points.tobytes()
+        assert {h.rho for h in trace.hypers} == {16.0 if value else 1.0}
+        dense = interpolate(trace, cfg, K=2)
+        assert dense.points.tobytes() == np.full((40, 3), value).tobytes()
 
     def test_denoised_cloud_is_the_reconstruction_at_its_bases(self):
         # The README's chain.  The charts of clouds[-2] at hypers[-1] are
